@@ -107,16 +107,21 @@ fn bench_star_engine(c: &mut Criterion) {
     // Gated throughput: total slots across the three protocols per pass of
     // the indexed engine (scratch reused, as in a trial loop).
     let total_slots = SLOTS * ProtocolKind::ALL.len() as u64;
-    let indexed = or_exit(measure_and_emit("star_engine", total_slots, || {
-        let mut report = StarReport::default();
-        let mut scratch = StarScratch::default();
-        let mut sum = 0usize;
-        for kind in ProtocolKind::ALL {
-            run_indexed(&cfg, kind, SLOTS, &mut report, &mut scratch);
-            sum += report.final_levels.len();
-        }
-        black_box(sum)
-    }));
+    let indexed = or_exit(measure_and_emit(
+        "star_engine",
+        total_slots,
+        "slots",
+        || {
+            let mut report = StarReport::default();
+            let mut scratch = StarScratch::default();
+            let mut sum = 0usize;
+            for kind in ProtocolKind::ALL {
+                run_indexed(&cfg, kind, SLOTS, &mut report, &mut scratch);
+                sum += report.final_levels.len();
+            }
+            black_box(sum)
+        },
+    ));
     let indexed_sps = total_slots as f64 / indexed.as_secs_f64();
 
     let cold = time_best_of_three(|| {

@@ -179,16 +179,21 @@ fn bench_tree_engine(c: &mut Criterion) {
     // Gated throughput: total slots across the three protocols per pass of
     // the bitset engine (scratch reused, as in a trial loop).
     let total_slots = BIG_SLOTS * ProtocolKind::ALL.len() as u64;
-    let bitset = or_exit(measure_and_emit("tree_engine", total_slots, || {
-        let mut report = TreeReport::empty();
-        let mut scratch = TreeScratch::default();
-        let mut sum = 0usize;
-        for kind in ProtocolKind::ALL {
-            run_bitset(&big, &big_cfg, kind, BIG_SLOTS, &mut report, &mut scratch);
-            sum += report.final_levels.len();
-        }
-        black_box(sum)
-    }));
+    let bitset = or_exit(measure_and_emit(
+        "tree_engine",
+        total_slots,
+        "slots",
+        || {
+            let mut report = TreeReport::empty();
+            let mut scratch = TreeScratch::default();
+            let mut sum = 0usize;
+            for kind in ProtocolKind::ALL {
+                run_bitset(&big, &big_cfg, kind, BIG_SLOTS, &mut report, &mut scratch);
+                sum += report.final_levels.len();
+            }
+            black_box(sum)
+        },
+    ));
     let bitset_sps = total_slots as f64 / bitset.as_secs_f64();
 
     let ref_total_slots = BIG_REF_SLOTS * ProtocolKind::ALL.len() as u64;

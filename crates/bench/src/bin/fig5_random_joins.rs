@@ -6,24 +6,20 @@
 //!
 //! `cargo run --release -p mlf-bench --bin fig5_random_joins
 //!    [--max-receivers 100] [--mc-quanta 200] [--mc-sigma 100]
-//!    [--sweep-seeds 64] [--threads 0] [--coordinate-procs 0]
-//!    [--checkpoint PATH] [--spill DIR]`
+//!    [--sweep-seeds 64] [--threads 0] [--checkpoint PATH]`
 //!
-//! With `--coordinate-procs N` the network sweep runs on the
-//! fault-tolerant coordinator over a fleet of N supervised worker
-//! *processes* instead of the in-process thread pool, optionally with a
-//! crash-safe checkpoint (`--checkpoint`) and the workers' disk spill
-//! tier (`--spill`); the fleet's `CoordinatorStats` are printed per
-//! family. The merged bytes are identical in every mode.
+//! With `--checkpoint PATH` each family's network sweep runs on the
+//! fault-tolerant coordinator at `--threads` workers and streams accepted
+//! shards to `PATH.<family>`; a re-run with the same path resumes from
+//! those files. The coordinator's `CoordinatorStats` are printed per
+//! family. The merged bytes are identical with and without a checkpoint.
 
 use mlf_bench::{cli, knob, or_exit, write_csv, Args, Table};
 use mlf_core::allocator::MultiRate;
 use mlf_core::LinkRateModel;
 use mlf_layering::randomjoin::{self, Figure5Config};
 use mlf_net::TopologyFamily;
-use mlf_scenario::{
-    CoordinatorConfig, CoordinatorStats, LinkRates, ProcessConfig, Scenario, TransportKind,
-};
+use mlf_scenario::{CoordinatorConfig, CoordinatorStats, LinkRates, Scenario};
 use std::path::PathBuf;
 
 const KNOBS: &[cli::Knob] = &[
@@ -53,27 +49,13 @@ const KNOBS: &[cli::Knob] = &[
         "sweep worker threads (0 = available parallelism)",
     ),
     knob(
-        "coordinate-procs",
-        "0",
-        "run the network sweep on a supervised fleet of N worker processes (0 = thread sweep)",
-    ),
-    knob(
         "checkpoint",
         "",
-        "crash-safe checkpoint base path for the fleet sweep (per-family suffix; empty = off)",
-    ),
-    knob(
-        "spill",
-        "",
-        "directory for the fleet workers' disk spill tier (per-family subdir; empty = off)",
+        "checkpoint base path: run the network sweep on the coordinator (per-family suffix; empty = off)",
     ),
 ];
 
 fn main() {
-    // Fleet workers re-execute this binary: route them into the stdio
-    // worker loop before any CLI parsing (never returns for workers).
-    mlf_scenario::transport::maybe_run_process_worker();
-
     let args = Args::for_binary(
         "fig5_random_joins",
         "Figure 5 regenerator: single-layer random-join redundancy",
@@ -84,9 +66,7 @@ fn main() {
     let mc_sigma: usize = or_exit(args.get("mc-sigma", 100));
     let sweep_seeds: u64 = or_exit(args.get("sweep-seeds", 64));
     let threads: usize = or_exit(args.get("threads", 0));
-    let coordinate_procs: usize = or_exit(args.get("coordinate-procs", 0));
     let checkpoint: String = or_exit(args.get("checkpoint", String::new()));
-    let spill: String = or_exit(args.get("spill", String::new()));
 
     // Log-spaced x-axis like the paper's log plot.
     let mut xs = vec![1usize, 2, 3, 4, 5, 7, 10, 14, 20, 30, 50, 70];
@@ -167,7 +147,7 @@ fn main() {
         "all-props rate",
         "cache h/m/e",
     ]);
-    if coordinate_procs > 0 && !checkpoint.is_empty() {
+    if !checkpoint.is_empty() {
         // The writer creates the file, not its directory.
         if let Some(parent) = std::path::Path::new(&checkpoint).parent() {
             or_exit(std::fs::create_dir_all(parent).map_err(|e| {
@@ -178,7 +158,7 @@ fn main() {
             }));
         }
     }
-    let mut fleet_stats: Vec<(&'static str, CoordinatorStats)> = Vec::new();
+    let mut coordinator_stats: Vec<(&'static str, CoordinatorStats)> = Vec::new();
     for family in families {
         let scenario = Scenario::builder()
             .label(format!("fig5-sweep/{}", family.label()))
@@ -187,17 +167,14 @@ fn main() {
             .allocator(MultiRate::new())
             .build()
             .expect("family sweep scenario");
-        let report = if coordinate_procs > 0 {
+        let report = if !checkpoint.is_empty() {
             let cfg = CoordinatorConfig {
-                workers: coordinate_procs,
-                checkpoint: (!checkpoint.is_empty())
-                    .then(|| PathBuf::from(format!("{checkpoint}.{}", family.label()))),
-                spill_dir: (!spill.is_empty()).then(|| PathBuf::from(&spill).join(family.label())),
-                transport: TransportKind::Process(ProcessConfig::default()),
+                workers: threads,
+                checkpoint: Some(PathBuf::from(format!("{checkpoint}.{}", family.label()))),
                 ..CoordinatorConfig::default()
             };
             let out = or_exit(scenario.coordinate(0..sweep_seeds, &cfg));
-            fleet_stats.push((family.label(), out.stats));
+            coordinator_stats.push((family.label(), out.stats));
             out.report
         } else {
             scenario.sweep_par(0..sweep_seeds, threads)
@@ -215,8 +192,8 @@ fn main() {
         ]);
     }
     print!("{sweep_table}");
-    for (family, stats) in &fleet_stats {
-        println!("\nprocess fleet [{family}] ({coordinate_procs} workers):\n{stats}");
+    for (family, stats) in &coordinator_stats {
+        println!("\ncoordinated sweep [{family}]:\n{stats}");
     }
     println!(
         "\n(cache h/m/e: sweep solve-cache hits/misses/evictions — every (seed, model) cell \

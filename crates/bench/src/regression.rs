@@ -14,9 +14,9 @@
 //! }
 //! ```
 //!
-//! `points_per_second` is the gated metric: the serial sweep's throughput
-//! in points per second, which tracks per-point solve cost without the
-//! scheduling noise of the parallel path. [`check_regression`] fails when
+//! `points_per_second` is the gated metric: the measured run's throughput
+//! in work units per second (sweep points for the sweep benches, slots for
+//! the engine benches; the field keeps its name either way). [`check_regression`] fails when
 //! the current throughput falls more than the allowed fraction below the
 //! baseline (CI uses 0.30 — a >30% regression fails the job); faster runs
 //! never fail, so baselines only need re-seeding when the hot path
@@ -33,7 +33,7 @@ pub struct BenchRecord {
     pub bench: String,
     /// Sweep points the measured run produced.
     pub points: u64,
-    /// Wall-clock seconds of the measured (serial) run, best-of-N.
+    /// Wall-clock seconds of the measured run, best-of-N.
     pub elapsed_seconds: f64,
     /// The gated metric: `points / elapsed_seconds`.
     pub points_per_second: f64,
@@ -276,28 +276,30 @@ pub fn time_best_of_three(f: impl Fn() -> usize) -> std::time::Duration {
     best
 }
 
-/// The gated-bench measurement both sweep benches share: time the serial
-/// `sweep` best-of-three, write the `BENCH_<bench>.json` artifact into
-/// [`artifact_dir`], print the throughput line, and return the elapsed
-/// time for the speedup report.
+/// The gated-bench measurement every gated bench shares: time `run`
+/// best-of-three over a workload of `count` units (`unit` names them in
+/// the printed line, e.g. `"points"` or `"slots"`), write the
+/// `BENCH_<bench>.json` artifact into [`artifact_dir`], print the
+/// throughput line, and return the elapsed time for the speedup report.
 ///
 /// An unwritable artifact is a [`RecordError`], not a warning: CI gates on
 /// the file existing, so the benches funnel this through [`crate::or_exit`]
 /// and fail with exit status 2 rather than silently passing.
 pub fn measure_and_emit(
     bench: &str,
-    points: u64,
-    sweep: impl Fn() -> usize,
+    count: u64,
+    unit: &str,
+    run: impl Fn() -> usize,
 ) -> Result<std::time::Duration, RecordError> {
-    let serial = time_best_of_three(sweep);
-    let record = BenchRecord::new(bench, points, serial.as_secs_f64());
+    let elapsed = time_best_of_three(run);
+    let record = BenchRecord::new(bench, count, elapsed.as_secs_f64());
     let path = record.write(artifact_dir())?;
     println!(
-        "throughput: {:.3} points/s serial ({points} points in {serial:?}) -> {}",
+        "throughput: {:.3} {unit}/s ({count} {unit} in {elapsed:?}) -> {}",
         record.points_per_second,
         path.display()
     );
-    Ok(serial)
+    Ok(elapsed)
 }
 
 #[cfg(test)]

@@ -50,17 +50,11 @@
 //! (worker-local state, like its `SolverWorkspace`), preserving the
 //! serial/parallel bitwise contract at any thread count.
 
-use crate::spill::{SpillStats, SpillTier};
 use crate::SweepPoint;
 use mlf_core::LinkRateModel;
 use mlf_net::{Network, TopologyFamily};
 use std::collections::{HashMap, VecDeque};
 use std::sync::{Arc, Mutex};
-
-/// Bytes in one [`SolveKey::encode`] image: family tag (1) + family
-/// parameter (8) + nodes/sessions/max_receivers/seed (4 × 8) + model tag
-/// (1) + model bits (8) + scenario digest (8).
-pub(crate) const SOLVE_KEY_BYTES: usize = 58;
 
 /// Default bound on memoized sweep points.
 // mlf-lint: allow(unused-pub, reason = "documented public API; doc examples and links are invisible to the analyzer")
@@ -245,80 +239,6 @@ impl SolveKey {
     pub fn topology(&self) -> TopologyKey {
         self.topology
     }
-
-    /// Canonical fixed-width encoding of this key, the on-disk identity
-    /// used by the spill segment format (see [`crate::spill`]). Injective
-    /// on key values: model/family parameters are stored as raw bit
-    /// patterns, matching the in-memory `Eq`/`Hash` semantics.
-    pub(crate) fn encode(&self) -> [u8; SOLVE_KEY_BYTES] {
-        let mut out = [0u8; SOLVE_KEY_BYTES];
-        let (ftag, fparam): (u8, u64) = match self.topology.family {
-            FamilyKey::Fixed => (0, 0),
-            FamilyKey::FlatTree => (1, 0),
-            FamilyKey::KaryTree(arity) => (2, arity as u64),
-            FamilyKey::TransitStub(transit) => (3, transit as u64),
-            FamilyKey::Dumbbell => (4, 0),
-        };
-        out[0] = ftag;
-        out[1..9].copy_from_slice(&fparam.to_le_bytes());
-        out[9..17].copy_from_slice(&(self.topology.nodes as u64).to_le_bytes());
-        out[17..25].copy_from_slice(&(self.topology.sessions as u64).to_le_bytes());
-        out[25..33].copy_from_slice(&(self.topology.max_receivers as u64).to_le_bytes());
-        out[33..41].copy_from_slice(&self.topology.seed.to_le_bytes());
-        let (mtag, mbits): (u8, u64) = match self.model {
-            ModelKey::Efficient => (0, 0),
-            ModelKey::Scaled(bits) => (1, bits),
-            ModelKey::Sum => (2, 0),
-            ModelKey::RandomJoin(bits) => (3, bits),
-        };
-        out[41] = mtag;
-        out[42..50].copy_from_slice(&mbits.to_le_bytes());
-        out[50..58].copy_from_slice(&self.scenario.to_le_bytes());
-        out
-    }
-
-    /// Inverse of [`SolveKey::encode`]. `Err` carries the reason a byte
-    /// image is not a key (wrong length, unknown tags).
-    pub(crate) fn decode(bytes: &[u8]) -> Result<SolveKey, String> {
-        if bytes.len() != SOLVE_KEY_BYTES {
-            return Err(format!(
-                "encoded solve key is {} bytes, expected {SOLVE_KEY_BYTES}",
-                bytes.len()
-            ));
-        }
-        let u64_at = |off: usize| -> u64 {
-            let mut b = [0u8; 8];
-            b.copy_from_slice(&bytes[off..off + 8]);
-            u64::from_le_bytes(b)
-        };
-        let fparam = u64_at(1);
-        let family = match bytes[0] {
-            0 => FamilyKey::Fixed,
-            1 => FamilyKey::FlatTree,
-            2 => FamilyKey::KaryTree(fparam as usize),
-            3 => FamilyKey::TransitStub(fparam as usize),
-            4 => FamilyKey::Dumbbell,
-            tag => return Err(format!("unknown family tag {tag}")),
-        };
-        let model = match bytes[41] {
-            0 => ModelKey::Efficient,
-            1 => ModelKey::Scaled(u64_at(42)),
-            2 => ModelKey::Sum,
-            3 => ModelKey::RandomJoin(u64_at(42)),
-            tag => return Err(format!("unknown model tag {tag}")),
-        };
-        Ok(SolveKey {
-            topology: TopologyKey {
-                family,
-                nodes: u64_at(9) as usize,
-                sessions: u64_at(17) as usize,
-                max_receivers: u64_at(25) as usize,
-                seed: u64_at(33),
-            },
-            model,
-            scenario: u64_at(50),
-        })
-    }
 }
 
 /// A bounded FIFO memo of solved sweep points and built topologies (see
@@ -333,10 +253,6 @@ pub struct SolveCache {
     networks: HashMap<TopologyKey, Arc<Network>>,
     network_order: VecDeque<TopologyKey>,
     stats: CacheStats,
-    /// Optional disk tier: evicted points spill to an append-only segment
-    /// file and in-memory misses consult it before recomputing (see
-    /// [`crate::spill`]). `None` (the default) is the plain bounded FIFO.
-    spill: Option<SpillTier>,
 }
 
 impl SolveCache {
@@ -383,27 +299,22 @@ impl SolveCache {
         self.network_capacity
     }
 
-    /// Look up a memoized point, consulting the disk spill tier (when
-    /// attached) on an in-memory miss. Counts a hit or a miss; a spill
-    /// hit is promoted back into the in-memory FIFO.
+    /// Look up a memoized point. Counts a hit or a miss.
     pub fn point(&mut self, key: &SolveKey) -> Option<SweepPoint> {
-        if let Some(p) = self.points.get(key) {
-            self.stats.hits += 1;
-            return Some(p.clone());
+        match self.points.get(key) {
+            Some(p) => {
+                self.stats.hits += 1;
+                Some(p.clone())
+            }
+            None => {
+                self.stats.misses += 1;
+                None
+            }
         }
-        if let Some(p) = self.spill.as_mut().and_then(|s| s.lookup(key)) {
-            self.stats.hits += 1;
-            self.insert_point(*key, p.clone());
-            return Some(p);
-        }
-        self.stats.misses += 1;
-        None
     }
 
     /// Memoize a freshly solved point (evicting the oldest entry at
-    /// capacity; with a spill tier attached, the victim is appended to
-    /// disk instead of dropped). No-op when solve memoization is
-    /// disabled.
+    /// capacity). No-op when solve memoization is disabled.
     pub(crate) fn insert_point(&mut self, key: SolveKey, point: SweepPoint) {
         if self.point_capacity == 0 {
             return;
@@ -411,29 +322,13 @@ impl SolveCache {
         if !self.points.contains_key(&key) {
             if self.points.len() >= self.point_capacity {
                 if let Some(oldest) = self.point_order.pop_front() {
-                    if let Some(victim) = self.points.remove(&oldest) {
-                        self.stats.evictions += 1;
-                        if let Some(spill) = self.spill.as_mut() {
-                            spill.spill(&oldest, &victim);
-                        }
-                    }
+                    self.points.remove(&oldest);
+                    self.stats.evictions += 1;
                 }
             }
             self.point_order.push_back(key);
         }
         self.points.insert(key, point);
-    }
-
-    /// Attach a disk spill tier: from now on evictions append to the
-    /// segment and in-memory misses consult it. Replaces any previous
-    /// tier.
-    pub(crate) fn attach_spill(&mut self, tier: SpillTier) {
-        self.spill = Some(tier);
-    }
-
-    /// The spill tier's telemetry, when one is attached.
-    pub(crate) fn spill_stats(&self) -> Option<SpillStats> {
-        self.spill.as_ref().map(|s| s.stats())
     }
 
     /// The built topology for `key`, building (and memoizing) it on first
@@ -456,9 +351,8 @@ impl SolveCache {
         net
     }
 
-    /// Drop every in-memory entry (counters are preserved — they
-    /// describe history, not contents). An attached spill segment is
-    /// left untouched: its records are still valid memoized points.
+    /// Drop every entry (counters are preserved — they describe history,
+    /// not contents).
     pub fn clear(&mut self) {
         self.points.clear();
         self.point_order.clear();
@@ -634,43 +528,6 @@ mod tests {
                 "last three inserts of {order:?} must survive"
             );
         }
-    }
-
-    #[test]
-    fn solve_key_codec_round_trips() {
-        let keys = [
-            SolveKey::new(TopologyKey::fixed(), LinkRateModel::Efficient, 0),
-            SolveKey::new(
-                TopologyKey::random(TopologyFamily::FlatTree, 10, 3, 3, 5),
-                LinkRateModel::Scaled(2.0),
-                9,
-            ),
-            SolveKey::new(
-                TopologyKey::random(TopologyFamily::KaryTree { arity: 4 }, 30, 8, 5, 77),
-                LinkRateModel::RandomJoin { sigma: 6.0 },
-                u64::MAX,
-            ),
-            SolveKey::new(
-                TopologyKey::random(TopologyFamily::TransitStub { transit: 3 }, 40, 6, 6, 1),
-                LinkRateModel::Sum,
-                1,
-            ),
-            SolveKey::new(
-                TopologyKey::random(TopologyFamily::Dumbbell, 12, 2, 4, 2),
-                LinkRateModel::Efficient,
-                2,
-            ),
-        ];
-        for k in keys {
-            assert_eq!(SolveKey::decode(&k.encode()), Ok(k), "codec round trip");
-        }
-        assert!(SolveKey::decode(&[0u8; 10]).is_err(), "wrong length");
-        let mut bad_family = keys[0].encode();
-        bad_family[0] = 9;
-        assert!(SolveKey::decode(&bad_family).is_err(), "unknown family tag");
-        let mut bad_model = keys[0].encode();
-        bad_model[41] = 9;
-        assert!(SolveKey::decode(&bad_model).is_err(), "unknown model tag");
     }
 
     #[test]

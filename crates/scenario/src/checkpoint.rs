@@ -208,8 +208,7 @@ pub(crate) fn model_code(model: Option<LinkRateModel>) -> (u8, u64) {
     }
 }
 
-/// Inverse of [`model_code`] (shared with the transport frame codec).
-pub(crate) fn model_from_code(tag: u8, bits: u64) -> Result<Option<LinkRateModel>, String> {
+fn model_from_code(tag: u8, bits: u64) -> Result<Option<LinkRateModel>, String> {
     match tag {
         0 => Ok(None),
         1 => Ok(Some(LinkRateModel::Efficient)),

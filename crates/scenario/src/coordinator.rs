@@ -24,6 +24,15 @@
 //!                           ≡ kill-at-every-shard + resume ≡ sweep()
 //! ```
 //!
+//! # The fleet
+//!
+//! Workers are scoped threads, each with its own `SolverWorkspace` and
+//! worker-local [`SolveCache`], fed over one mpsc channel per worker and
+//! reporting on a shared one. When the sweep ends, every worker hands
+//! back its cache counters; they are merged in worker-id order, the
+//! serial fallback's last, into [`SweepReport::cache`], as
+//! [`Scenario::sweep_par`] merges its shards.
+//!
 //! # Fault model and injection
 //!
 //! Faults are injected deterministically from a seeded [`FaultPlan`]
@@ -42,13 +51,6 @@
 //!   retried elsewhere with capped exponential backoff.
 //! * [`FaultKind::DuplicateShard`] — the shard is delivered twice; the
 //!   second copy is dropped.
-//! * [`FaultKind::KillProcess`] — (process fleets) the supervisor
-//!   SIGKILLs the worker child mid-shard; the death is observed, the
-//!   shard requeued, and the slot respawned with capped backoff. Thread
-//!   fleets model it as a clean worker exit.
-//! * [`FaultKind::TornFrame`] — the assignment frame is damaged on the
-//!   wire; the frame checksum catches it, the worker rejects it, and the
-//!   coordinator requeues. Thread fleets deliver the rejection directly.
 //!
 //! Retries are capped ([`CoordinatorConfig::max_retries`], then
 //! [`CoordinatorError::ShardFailed`]); when every worker is lost the
@@ -65,22 +67,6 @@
 //! **scheduling only** (when to reassign, when to give up waiting). Every
 //! accepted shard's bytes are a pure function of the job list, so a slow
 //! machine retries more but merges the same report.
-//!
-//! # Transports and the spill tier
-//!
-//! The event loop is generic over the crate-private `WorkerTransport`
-//! seam: [`TransportKind::Threads`] runs the classic in-process fleet
-//! over typed mpsc channels, [`TransportKind::Process`] a **supervised
-//! fleet of child worker processes** that self-exec the current binary
-//! and speak the framed protocol of [`crate::transport`]. Dead processes
-//! are respawned with capped backoff up to
-//! [`ProcessConfig::max_respawns`] per slot; an exhausted fleet degrades
-//! to the serial fallback like a lost thread fleet. With
-//! [`CoordinatorConfig::spill_dir`] set, each worker's solve cache
-//! additionally spills evicted points to a crash-safe, self-checksummed
-//! on-disk segment and consults it on memory misses. Neither knob can
-//! change the merged bytes — both only move *where* the same pure solves
-//! run and *whether* they are recomputed or reread.
 
 use crate::cache::SolveCache;
 use crate::checkpoint::{
@@ -88,13 +74,10 @@ use crate::checkpoint::{
     TailPolicy,
 };
 use crate::hash::Fnv1a;
-use crate::spill::SpillStats;
-use crate::transport::{TransportCounters, TransportError, TransportPoll, WorkerTransport};
-use crate::{LinkRates, NetworkSource, Scenario, SweepGrid, SweepPoint, SweepReport};
+use crate::{CacheStats, LinkRates, NetworkSource, Scenario, SweepGrid, SweepPoint, SweepReport};
 use mlf_core::allocator::SolverWorkspace;
 use mlf_core::LinkRateModel;
 use mlf_sim::SimRng;
-use std::collections::VecDeque;
 use std::path::PathBuf;
 use std::sync::mpsc;
 use std::time::Duration;
@@ -104,7 +87,7 @@ type Deadline = std::time::Instant;
 
 /// One `(model override, seed)` sweep job — the coordinator speaks the
 /// same job language as the serial and parallel executors.
-pub(crate) type Job = (Option<LinkRateModel>, u64);
+type Job = (Option<LinkRateModel>, u64);
 
 /// The kinds of failure the seeded harness can inject.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -117,13 +100,6 @@ pub enum FaultKind {
     CorruptHash,
     /// The delivery arrives twice.
     DuplicateShard,
-    /// The worker *process* is SIGKILLed mid-shard by the supervisor
-    /// (thread fleets model it as a clean worker exit — either way the
-    /// coordinator observes a dead worker).
-    KillProcess,
-    /// The assignment frame is damaged on the wire; the frame checksum
-    /// catches it and the worker rejects instead of computing.
-    TornFrame,
 }
 
 /// One injected fault: `kind` fires when `worker` receives `shard` on the
@@ -185,36 +161,6 @@ impl FaultPlan {
         FaultPlan { events }
     }
 
-    /// Like [`FaultPlan::from_seed`], drawing from the full fault
-    /// alphabet including the process-transport kinds
-    /// ([`FaultKind::KillProcess`], [`FaultKind::TornFrame`]) — the plan
-    /// the process-chaos differentials run at every fleet size.
-    pub fn from_seed_process(seed: u64, workers: usize, shards: u64) -> Self {
-        let mut rng = SimRng::seed_from_u64(seed);
-        let workers = workers.max(1) as u64;
-        let mut events = Vec::new();
-        for shard in 0..shards {
-            if !rng.bernoulli(0.4) {
-                continue;
-            }
-            let kind = match rng.below(6) {
-                0 => FaultKind::CrashWorker,
-                1 => FaultKind::Stall,
-                2 => FaultKind::CorruptHash,
-                3 => FaultKind::DuplicateShard,
-                4 => FaultKind::KillProcess,
-                _ => FaultKind::TornFrame,
-            };
-            let worker = rng.below(workers) as usize;
-            events.push(FaultEvent {
-                kind,
-                worker,
-                shard,
-            });
-        }
-        FaultPlan { events }
-    }
-
     /// The scheduled events.
     pub fn events(&self) -> &[FaultEvent] {
         &self.events
@@ -225,7 +171,7 @@ impl FaultPlan {
         self.events.is_empty()
     }
 
-    pub(crate) fn fires(&self, worker: usize, shard: u64, attempt: u32) -> Option<FaultKind> {
+    fn fires(&self, worker: usize, shard: u64, attempt: u32) -> Option<FaultKind> {
         if attempt != 0 {
             return None;
         }
@@ -233,50 +179,6 @@ impl FaultPlan {
             .iter()
             .find(|e| e.worker == worker && e.shard == shard)
             .map(|e| e.kind)
-    }
-}
-
-/// Which worker fleet a coordinated sweep runs on.
-#[derive(Debug, Clone, Default)]
-pub enum TransportKind {
-    /// In-process worker threads over typed mpsc channels.
-    #[default]
-    Threads,
-    /// Supervised child worker processes over the framed stdin/stdout
-    /// protocol of [`crate::transport`].
-    Process(ProcessConfig),
-}
-
-/// Knobs of the process-fleet supervisor.
-#[derive(Debug, Clone)]
-pub struct ProcessConfig {
-    /// The worker binary (`None` = re-exec the current executable, which
-    /// must call [`crate::transport::maybe_run_process_worker`] first
-    /// thing in `main`).
-    pub program: Option<PathBuf>,
-    /// Respawn budget per worker slot; a slot that exhausts it stays
-    /// down (and a fully exhausted fleet falls back to the serial path).
-    pub max_respawns: u32,
-    /// First respawn backoff; doubles per respawn.
-    pub respawn_backoff: Duration,
-    /// Respawn backoff ceiling.
-    pub respawn_backoff_cap: Duration,
-    /// A worker silent for this long while holding an assignment is
-    /// declared dead, killed, and respawned. Generous by default — the
-    /// per-shard [`CoordinatorConfig::shard_timeout`] already requeues
-    /// slow shards; the heartbeat only reclaims truly wedged processes.
-    pub heartbeat: Duration,
-}
-
-impl Default for ProcessConfig {
-    fn default() -> Self {
-        ProcessConfig {
-            program: None,
-            max_respawns: 4,
-            respawn_backoff: Duration::from_millis(10),
-            respawn_backoff_cap: Duration::from_millis(200),
-            heartbeat: Duration::from_secs(30),
-        }
     }
 }
 
@@ -306,14 +208,6 @@ pub struct CoordinatorConfig {
     /// Stop with [`CoordinatorError::Interrupted`] after accepting this
     /// many *new* shards — the simulated-kill hook the resume tests drive.
     pub max_new_shards: Option<u64>,
-    /// Which fleet to run on (threads or supervised processes).
-    pub transport: TransportKind,
-    /// Enable the disk spill tier: each worker's solve cache spills
-    /// evicted points to `<dir>/worker-<id>.spill` (the serial fallback
-    /// uses `serial.spill`) and consults the segment on memory misses.
-    /// The directory is created if missing; an unopenable or corrupt
-    /// segment disables/starts a fresh tier, never fails the sweep.
-    pub spill_dir: Option<PathBuf>,
 }
 
 impl Default for CoordinatorConfig {
@@ -329,8 +223,6 @@ impl Default for CoordinatorConfig {
             checkpoint: None,
             fault_plan: FaultPlan::none(),
             max_new_shards: None,
-            transport: TransportKind::Threads,
-            spill_dir: None,
         }
     }
 }
@@ -353,18 +245,6 @@ pub enum CoordinatorError {
     },
     /// The checkpoint file could not be written, read, or trusted.
     Checkpoint(CheckpointError),
-    /// The process fleet could not be launched (spawning the initial
-    /// children failed at the OS level). Wire-level damage *after*
-    /// launch never surfaces here — it is retried, respawned around, or
-    /// absorbed by the serial fallback.
-    Transport(TransportError),
-    /// The scenario cannot be shipped to worker processes (fixed
-    /// network, explicit link-rate config, or unregistered allocator);
-    /// run it on [`TransportKind::Threads`] instead.
-    UnsupportedScenario {
-        /// Why the scenario spec could not be built.
-        reason: String,
-    },
 }
 
 impl std::fmt::Display for CoordinatorError {
@@ -377,10 +257,6 @@ impl std::fmt::Display for CoordinatorError {
                 write!(f, "interrupted after accepting {accepted} new shards")
             }
             CoordinatorError::Checkpoint(e) => write!(f, "{e}"),
-            CoordinatorError::Transport(e) => write!(f, "process fleet failed to launch: {e}"),
-            CoordinatorError::UnsupportedScenario { reason } => {
-                write!(f, "scenario cannot run on the process transport: {reason}")
-            }
         }
     }
 }
@@ -389,7 +265,6 @@ impl std::error::Error for CoordinatorError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
             CoordinatorError::Checkpoint(e) => Some(e),
-            CoordinatorError::Transport(e) => Some(e),
             _ => None,
         }
     }
@@ -398,12 +273,6 @@ impl std::error::Error for CoordinatorError {
 impl From<CheckpointError> for CoordinatorError {
     fn from(e: CheckpointError) -> Self {
         CoordinatorError::Checkpoint(e)
-    }
-}
-
-impl From<TransportError> for CoordinatorError {
-    fn from(e: TransportError) -> Self {
-        CoordinatorError::Transport(e)
     }
 }
 
@@ -434,17 +303,6 @@ pub struct CoordinatorStats {
     pub spot_checks_skipped: u64,
     /// Whether the run finished by computing remaining shards serially.
     pub serial_fallback: bool,
-    /// Worker processes respawned by the supervisor.
-    pub respawns: u64,
-    /// Assignment frames rejected by workers as damaged in flight.
-    pub frames_rejected: u64,
-    /// Points the workers' spill tiers served from disk.
-    pub spill_hits: u64,
-    /// Spill-tier lookups that found nothing on disk.
-    pub spill_misses: u64,
-    /// Corrupt spill segments or records detected, skipped, and never
-    /// merged.
-    pub spill_corrupt_segments: u64,
 }
 
 impl std::fmt::Display for CoordinatorStats {
@@ -461,21 +319,14 @@ impl std::fmt::Display for CoordinatorStats {
         )?;
         writeln!(
             f,
-            "fleet: {} workers lost, {} respawns, {} frames rejected, serial fallback: {}",
+            "fleet: {} workers lost, serial fallback: {}",
             self.workers_lost,
-            self.respawns,
-            self.frames_rejected,
             if self.serial_fallback { "yes" } else { "no" }
-        )?;
-        writeln!(
-            f,
-            "audit: {} spot checks passed, {} skipped",
-            self.spot_checks_passed, self.spot_checks_skipped
         )?;
         write!(
             f,
-            "spill: {} hits, {} misses, {} corrupt segments",
-            self.spill_hits, self.spill_misses, self.spill_corrupt_segments
+            "audit: {} spot checks passed, {} skipped",
+            self.spot_checks_passed, self.spot_checks_skipped
         )
     }
 }
@@ -497,21 +348,20 @@ pub struct CoordinatorReport {
 // ---------------------------------------------------------------------------
 
 /// What a worker was asked to compute: a real shard, or the spot-check
-/// audit of one. Shared with the transport frame codec.
+/// audit of one.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum TaskId {
+enum TaskId {
     Shard(u64),
     Spot(u64),
 }
 
-/// One unit of dispatched work. Shared with the transport frame codec.
 #[derive(Debug, Clone)]
-pub(crate) struct Assignment {
-    pub(crate) task: TaskId,
-    pub(crate) attempt: u32,
-    pub(crate) shard: u64,
-    pub(crate) start: u64,
-    pub(crate) jobs: Vec<Job>,
+struct Assignment {
+    task: TaskId,
+    attempt: u32,
+    shard: u64,
+    start: u64,
+    jobs: Vec<Job>,
 }
 
 #[derive(Debug)]
@@ -520,17 +370,20 @@ enum ToWorker {
     Shutdown,
 }
 
-/// One delivered computation. Shared with the transport frame codec;
-/// `spill` carries the worker's spill-tier activity since its previous
-/// report (telemetry only — never part of any verified bytes).
 #[derive(Debug, Clone)]
-pub(crate) struct WorkerReport {
-    pub(crate) worker: usize,
-    pub(crate) task: TaskId,
-    pub(crate) attempt: u32,
-    pub(crate) points: Vec<SweepPoint>,
-    pub(crate) hash: u64,
-    pub(crate) spill: SpillStats,
+struct WorkerReport {
+    worker: usize,
+    task: TaskId,
+    attempt: u32,
+    points: Vec<SweepPoint>,
+    hash: u64,
+}
+
+struct WorkerSlot {
+    tx: mpsc::Sender<ToWorker>,
+    /// The assignment the worker is believed to be computing.
+    current: Option<(TaskId, u32)>,
+    alive: bool,
 }
 
 struct ShardSpec {
@@ -568,6 +421,8 @@ enum ShardState {
 // Worker side
 // ---------------------------------------------------------------------------
 
+/// One worker thread: compute assignments until shutdown (or an injected
+/// crash), then hand back the worker cache's counters.
 fn worker_loop(
     scenario: &Scenario,
     id: usize,
@@ -575,28 +430,20 @@ fn worker_loop(
     tx: mpsc::Sender<WorkerReport>,
     plan: &FaultPlan,
     stall: Duration,
-    spill: Option<PathBuf>,
-) {
+) -> CacheStats {
     let mut ws = SolverWorkspace::new();
-    let mut cache: Option<SolveCache> = scenario.worker_cache_with_spill(spill.as_deref());
-    let mut last_spill = SpillStats::default();
-    while let Ok(msg) = rx.recv() {
-        let a = match msg {
-            ToWorker::Shutdown => return,
-            ToWorker::Assign(a) => a,
-        };
+    let mut cache: Option<SolveCache> = scenario.worker_cache();
+    while let Ok(ToWorker::Assign(a)) = rx.recv() {
         // Faults target real shard work only; spot checks run clean (they
         // are the audit, not the subject).
         let fault = match a.task {
             TaskId::Shard(_) => plan.fires(id, a.shard, a.attempt),
             TaskId::Spot(_) => None,
         };
-        if matches!(fault, Some(FaultKind::CrashWorker | FaultKind::KillProcess)) {
+        if matches!(fault, Some(FaultKind::CrashWorker)) {
             // Crash: exit without replying. Dropping `rx` is what the
-            // coordinator eventually observes as a dead channel. (A
-            // thread cannot be SIGKILLed, so KillProcess degrades to the
-            // same observable outcome.)
-            return;
+            // coordinator eventually observes as a dead channel.
+            break;
         }
         if matches!(fault, Some(FaultKind::Stall)) {
             std::thread::sleep(stall);
@@ -610,112 +457,22 @@ fn worker_loop(
         if matches!(fault, Some(FaultKind::CorruptHash)) {
             hash ^= 0x5eed_bad0_dead_beef;
         }
-        let now_spill = cache
-            .as_ref()
-            .and_then(|c| c.spill_stats())
-            .unwrap_or_default();
-        let spill_delta = now_spill.since(&last_spill);
-        last_spill = now_spill;
         let report = WorkerReport {
             worker: id,
             task: a.task,
             attempt: a.attempt,
             points,
             hash,
-            spill: spill_delta,
         };
         let duplicate = matches!(fault, Some(FaultKind::DuplicateShard));
         if duplicate && tx.send(report.clone()).is_err() {
-            return;
+            break;
         }
         if tx.send(report).is_err() {
-            return;
+            break;
         }
     }
-}
-
-// ---------------------------------------------------------------------------
-// Thread transport
-// ---------------------------------------------------------------------------
-
-struct ThreadSlot {
-    tx: mpsc::Sender<ToWorker>,
-    alive: bool,
-}
-
-/// The in-process fleet: one worker thread per slot over typed mpsc
-/// channels — the original coordinator transport, now behind
-/// [`WorkerTransport`] so the event loop cannot tell it from a process
-/// fleet.
-struct ThreadTransport<'p> {
-    slots: Vec<ThreadSlot>,
-    rrx: mpsc::Receiver<WorkerReport>,
-    plan: &'p FaultPlan,
-    /// Synthetic events (torn-frame rejections) delivered ahead of the
-    /// report channel.
-    pending: VecDeque<TransportPoll>,
-    counters: TransportCounters,
-}
-
-impl WorkerTransport for ThreadTransport<'_> {
-    fn worker_count(&self) -> usize {
-        self.slots.len()
-    }
-
-    fn usable(&self, worker: usize) -> bool {
-        self.slots[worker].alive
-    }
-
-    fn try_send(&mut self, worker: usize, assignment: &Assignment) -> bool {
-        if !self.slots[worker].alive {
-            return false;
-        }
-        // A torn frame never reaches the worker: model the damage as an
-        // immediate rejection — exactly what a process worker sends back
-        // after a checksum mismatch.
-        if matches!(assignment.task, TaskId::Shard(_))
-            && self
-                .plan
-                .fires(worker, assignment.shard, assignment.attempt)
-                == Some(FaultKind::TornFrame)
-        {
-            self.pending.push_back(TransportPoll::Rejected { worker });
-            return true;
-        }
-        if self.slots[worker]
-            .tx
-            .send(ToWorker::Assign(assignment.clone()))
-            .is_ok()
-        {
-            true
-        } else {
-            // The channel is dead: the worker crashed some time ago.
-            self.slots[worker].alive = false;
-            self.counters.workers_lost += 1;
-            false
-        }
-    }
-
-    fn recv_timeout(&mut self, wait: Duration) -> TransportPoll {
-        if let Some(ev) = self.pending.pop_front() {
-            return ev;
-        }
-        match self.rrx.recv_timeout(wait) {
-            Ok(rep) => TransportPoll::Report(rep),
-            Err(mpsc::RecvTimeoutError::Timeout) => TransportPoll::Timeout,
-            Err(mpsc::RecvTimeoutError::Disconnected) => TransportPoll::AllDown,
-        }
-    }
-
-    fn shutdown(&mut self) {
-        for s in &self.slots {
-            let _ = s.tx.send(ToWorker::Shutdown);
-        }
-    }
-
-    fn counters(&self) -> TransportCounters {
-        self.counters
-    }
+    cache.map_or_else(CacheStats::default, |c| c.stats())
 }
 
 // ---------------------------------------------------------------------------
@@ -910,7 +667,7 @@ impl Scenario {
         if remaining > 0 && interrupted(cfg, 0, remaining) {
             return Err(CoordinatorError::Interrupted { accepted: 0 });
         }
-        if remaining > 0 {
+        let cache = if remaining > 0 {
             self.run_workers(
                 cfg,
                 &shards,
@@ -919,8 +676,10 @@ impl Scenario {
                 &mut remaining,
                 &mut accepted_new,
                 &mut stats,
-            )?;
-        }
+            )?
+        } else {
+            CacheStats::default()
+        };
 
         let mut points = Vec::with_capacity(jobs.len());
         // Every shard is `Some` here: run_workers only returns Ok once
@@ -932,13 +691,15 @@ impl Scenario {
             report: SweepReport {
                 label: self.label.clone(),
                 points,
-                cache: Default::default(),
+                cache,
             },
             stats,
         })
     }
 
-    /// Launch the configured fleet and drive the event loop over it.
+    /// Run the open shards on a fleet of scoped worker threads, then shut
+    /// the fleet down and return the cache counters of every worker, merged
+    /// in worker-id order, plus those of the serial remainder (if any).
     #[allow(clippy::too_many_arguments)]
     fn run_workers(
         &self,
@@ -949,7 +710,7 @@ impl Scenario {
         remaining: &mut usize,
         accepted_new: &mut u64,
         stats: &mut CoordinatorStats,
-    ) -> Result<(), CoordinatorError> {
+    ) -> Result<CacheStats, CoordinatorError> {
         let workers = if cfg.workers == 0 {
             std::thread::available_parallelism().map_or(1, |n| n.get())
         } else {
@@ -973,87 +734,62 @@ impl Scenario {
             })
             .collect();
         let mut attempts: Vec<u32> = vec![0; shards.len()];
-        if let Some(dir) = &cfg.spill_dir {
-            // Best-effort: the spill tier is an optimization, never a
-            // reason to fail a sweep.
-            let _ = std::fs::create_dir_all(dir);
-        }
-        let worker_spill = |id: usize| {
-            cfg.spill_dir
-                .as_ref()
-                .map(|d| d.join(format!("worker-{id}.spill")))
-        };
 
-        match &cfg.transport {
-            TransportKind::Threads => std::thread::scope(|scope| {
-                let (rtx, rrx) = mpsc::channel::<WorkerReport>();
-                let slots: Vec<ThreadSlot> = (0..workers)
-                    .map(|id| {
-                        let (tx, rx) = mpsc::channel::<ToWorker>();
-                        let rtx = rtx.clone();
-                        let spill = worker_spill(id);
-                        scope.spawn(move || worker_loop(self, id, rx, rtx, plan, stall, spill));
-                        ThreadSlot { tx, alive: true }
-                    })
-                    .collect();
-                drop(rtx);
-                let mut transport = ThreadTransport {
-                    slots,
-                    rrx,
-                    plan,
-                    pending: VecDeque::new(),
-                    counters: TransportCounters::default(),
-                };
-                self.drive(
-                    &mut transport,
-                    cfg,
-                    shards,
-                    &mut state,
-                    &mut attempts,
-                    done,
-                    writer,
-                    remaining,
-                    accepted_new,
-                    stats,
-                )
-            }),
-            TransportKind::Process(pc) => {
-                let spec = self
-                    .process_spec()
-                    .map_err(|reason| CoordinatorError::UnsupportedScenario { reason })?;
-                let mut transport = crate::supervisor::ProcessTransport::launch(
-                    spec,
-                    workers,
-                    pc.clone(),
-                    plan.clone(),
-                    stall,
-                    cfg.spill_dir.clone(),
-                )?;
-                self.drive(
-                    &mut transport,
-                    cfg,
-                    shards,
-                    &mut state,
-                    &mut attempts,
-                    done,
-                    writer,
-                    remaining,
-                    accepted_new,
-                    stats,
-                )
+        std::thread::scope(|scope| {
+            let (rtx, rrx) = mpsc::channel::<WorkerReport>();
+            let mut handles = Vec::with_capacity(workers);
+            let mut slots: Vec<WorkerSlot> = (0..workers)
+                .map(|id| {
+                    let (tx, rx) = mpsc::channel::<ToWorker>();
+                    let rtx = rtx.clone();
+                    handles.push(scope.spawn(move || worker_loop(self, id, rx, rtx, plan, stall)));
+                    WorkerSlot {
+                        tx,
+                        current: None,
+                        alive: true,
+                    }
+                })
+                .collect();
+            drop(rtx);
+            let result = self.event_loop(
+                cfg,
+                shards,
+                &mut slots,
+                &rrx,
+                &mut state,
+                &mut attempts,
+                done,
+                writer,
+                remaining,
+                accepted_new,
+                stats,
+            );
+            for s in &slots {
+                let _ = s.tx.send(ToWorker::Shutdown);
             }
-        }
+            let mut cache = CacheStats::default();
+            for h in handles {
+                match h.join() {
+                    Ok(worker) => cache.merge(&worker),
+                    // Re-raise a worker panic, as the scope would.
+                    Err(panic) => std::panic::resume_unwind(panic),
+                }
+            }
+            cache.merge(&result?);
+            Ok(cache)
+        })
     }
 
-    /// Drive one launched fleet to completion, then shut it down
-    /// (whatever the outcome — process children are reaped even on
-    /// error) and fold its counters into the stats.
+    /// The coordinator event loop: dispatch, verify, retry, merge. Returns
+    /// the serial remainder's cache counters (zero when the fleet finished
+    /// the sweep).
     #[allow(clippy::too_many_arguments)]
-    fn drive<T: WorkerTransport>(
+    fn event_loop(
         &self,
-        transport: &mut T,
         cfg: &CoordinatorConfig,
         shards: &[ShardSpec],
+        slots: &mut [WorkerSlot],
+        rrx: &mpsc::Receiver<WorkerReport>,
         state: &mut [ShardState],
         attempts: &mut [u32],
         done: &mut [Option<Vec<SweepPoint>>],
@@ -1061,46 +797,7 @@ impl Scenario {
         remaining: &mut usize,
         accepted_new: &mut u64,
         stats: &mut CoordinatorStats,
-    ) -> Result<(), CoordinatorError> {
-        let mut current: Vec<Option<(TaskId, u32)>> = vec![None; transport.worker_count()];
-        let result = self.drive_loop(
-            transport,
-            cfg,
-            shards,
-            state,
-            attempts,
-            &mut current,
-            done,
-            writer,
-            remaining,
-            accepted_new,
-            stats,
-        );
-        transport.shutdown();
-        let c = transport.counters();
-        stats.workers_lost += c.workers_lost;
-        stats.respawns += c.respawns;
-        result
-    }
-
-    /// The transport-generic event loop: dispatch, verify, retry, merge.
-    /// Scheduling decisions are identical for thread and process fleets —
-    /// which is why the two transports merge identical bytes.
-    #[allow(clippy::too_many_arguments)]
-    fn drive_loop<T: WorkerTransport>(
-        &self,
-        transport: &mut T,
-        cfg: &CoordinatorConfig,
-        shards: &[ShardSpec],
-        state: &mut [ShardState],
-        attempts: &mut [u32],
-        current: &mut [Option<(TaskId, u32)>],
-        done: &mut [Option<Vec<SweepPoint>>],
-        writer: &mut Option<CheckpointWriter>,
-        remaining: &mut usize,
-        accepted_new: &mut u64,
-        stats: &mut CoordinatorStats,
-    ) -> Result<(), CoordinatorError> {
+    ) -> Result<CacheStats, CoordinatorError> {
         let mut stuck_probes = 0u32;
 
         loop {
@@ -1117,7 +814,7 @@ impl Scenario {
                             start: spec.start,
                             jobs: spec.jobs.clone(),
                         };
-                        if dispatch_to(transport, current, None, &assignment).is_some() {
+                        if dispatch(slots, None, assignment, stats) {
                             state[i] = ShardState::Running {
                                 deadline: now + cfg.shard_timeout,
                             };
@@ -1141,8 +838,10 @@ impl Scenario {
                                 continue;
                             }
                         };
-                        let second_exists = (0..transport.worker_count())
-                            .any(|w| w != computed_by && transport.usable(w));
+                        let second_exists = slots
+                            .iter()
+                            .enumerate()
+                            .any(|(w, s)| s.alive && w != computed_by);
                         if !second_exists {
                             // No independent worker left to audit with:
                             // accept on the (already verified) content
@@ -1172,8 +871,7 @@ impl Scenario {
                             start: spec.start,
                             jobs: spec.jobs[..spot_len].to_vec(),
                         };
-                        if dispatch_to(transport, current, Some(computed_by), &assignment).is_some()
-                        {
+                        if dispatch(slots, Some(computed_by), assignment, stats) {
                             state[i] = ShardState::SpotRunning {
                                 points,
                                 computed_by,
@@ -1194,14 +892,14 @@ impl Scenario {
                 }
             }
             if *remaining == 0 {
-                return Ok(());
+                return Ok(CacheStats::default());
             }
             if interrupted(cfg, *accepted_new, *remaining) {
                 return Err(CoordinatorError::Interrupted {
                     accepted: *accepted_new,
                 });
             }
-            if !(0..transport.worker_count()).any(|w| transport.usable(w)) {
+            if !slots.iter().any(|s| s.alive) {
                 stats.serial_fallback = true;
                 return self.serial_remainder(
                     cfg,
@@ -1244,14 +942,14 @@ impl Scenario {
                 // waiting on a worker. Probe in timeout-sized windows.
                 None => cfg.shard_timeout,
             };
-            match transport.recv_timeout(wait.max(Duration::from_millis(1))) {
-                TransportPoll::Report(rep) => {
+            match rrx.recv_timeout(wait.max(Duration::from_millis(1))) {
+                Ok(rep) => {
                     stuck_probes = 0;
                     self.handle_report(
                         rep,
                         cfg,
                         shards,
-                        current,
+                        slots,
                         state,
                         attempts,
                         done,
@@ -1261,42 +959,7 @@ impl Scenario {
                         stats,
                     )?;
                 }
-                TransportPoll::Rejected { worker } => {
-                    // A damaged assignment frame: the worker never saw
-                    // the work. Requeue it like a lost worker's.
-                    stuck_probes = 0;
-                    stats.frames_rejected += 1;
-                    requeue_lost(
-                        cfg,
-                        worker,
-                        current,
-                        shards,
-                        state,
-                        attempts,
-                        done,
-                        writer,
-                        remaining,
-                        accepted_new,
-                        stats,
-                    )?;
-                }
-                TransportPoll::Down { worker } => {
-                    stuck_probes = 0;
-                    requeue_lost(
-                        cfg,
-                        worker,
-                        current,
-                        shards,
-                        state,
-                        attempts,
-                        done,
-                        writer,
-                        remaining,
-                        accepted_new,
-                        stats,
-                    )?;
-                }
-                TransportPoll::Timeout => {
+                Err(mpsc::RecvTimeoutError::Timeout) => {
                     let now = Deadline::now();
                     let mut expired_any = false;
                     for i in 0..state.len() {
@@ -1381,8 +1044,8 @@ impl Scenario {
                         }
                     }
                 }
-                TransportPoll::AllDown => {
-                    // Every worker is permanently gone.
+                Err(mpsc::RecvTimeoutError::Disconnected) => {
+                    // Every worker thread is gone.
                     stats.serial_fallback = true;
                     return self.serial_remainder(
                         cfg,
@@ -1406,7 +1069,7 @@ impl Scenario {
         rep: WorkerReport,
         cfg: &CoordinatorConfig,
         shards: &[ShardSpec],
-        current: &mut [Option<(TaskId, u32)>],
+        slots: &mut [WorkerSlot],
         state: &mut [ShardState],
         attempts: &mut [u32],
         done: &mut [Option<Vec<SweepPoint>>],
@@ -1415,14 +1078,9 @@ impl Scenario {
         accepted_new: &mut u64,
         stats: &mut CoordinatorStats,
     ) -> Result<(), CoordinatorError> {
-        if rep.worker < current.len() && current[rep.worker] == Some((rep.task, rep.attempt)) {
-            current[rep.worker] = None;
+        if rep.worker < slots.len() && slots[rep.worker].current == Some((rep.task, rep.attempt)) {
+            slots[rep.worker].current = None;
         }
-        // Spill telemetry rides every report (a duplicate delivery can
-        // double-count — acceptable for counters that steer nothing).
-        stats.spill_hits += rep.spill.hits;
-        stats.spill_misses += rep.spill.misses;
-        stats.spill_corrupt_segments += rep.spill.corrupt_segments;
         match rep.task {
             TaskId::Shard(shard) => {
                 let i = shard as usize;
@@ -1530,8 +1188,9 @@ impl Scenario {
     }
 
     /// Graceful degradation: every worker is lost, so compute the
-    /// remaining shards serially in shard order. Bytes are unaffected —
-    /// the serial path runs the same pure solve per job.
+    /// remaining shards serially in shard order and return the cache
+    /// counters of that in-process pass. Bytes are unaffected — the serial
+    /// path runs the same pure solve per job.
     #[allow(clippy::too_many_arguments)]
     fn serial_remainder(
         &self,
@@ -1543,11 +1202,9 @@ impl Scenario {
         remaining: &mut usize,
         accepted_new: &mut u64,
         stats: &mut CoordinatorStats,
-    ) -> Result<(), CoordinatorError> {
+    ) -> Result<CacheStats, CoordinatorError> {
         let mut ws = SolverWorkspace::new();
-        let spill = cfg.spill_dir.as_ref().map(|d| d.join("serial.spill"));
-        let mut cache: Option<SolveCache> = self.worker_cache_with_spill(spill.as_deref());
-        let mut outcome: Result<(), CoordinatorError> = Ok(());
+        let mut cache: Option<SolveCache> = self.worker_cache();
         for i in 0..shards.len() {
             if matches!(state[i], ShardState::Done) {
                 continue;
@@ -1568,7 +1225,7 @@ impl Scenario {
                     })
                     .collect(),
             };
-            if let Err(e) = accept_shard(
+            accept_shard(
                 i,
                 points,
                 shards,
@@ -1577,126 +1234,40 @@ impl Scenario {
                 state,
                 remaining,
                 accepted_new,
-            ) {
-                outcome = Err(e);
-                break;
-            }
+            )?;
             if interrupted(cfg, *accepted_new, *remaining) {
-                outcome = Err(CoordinatorError::Interrupted {
+                return Err(CoordinatorError::Interrupted {
                     accepted: *accepted_new,
                 });
-                break;
             }
         }
-        // Fold the fallback's own spill activity in even on the
-        // interrupted path — telemetry should survive simulated kills.
-        if let Some(s) = cache.as_ref().and_then(|c| c.spill_stats()) {
-            stats.spill_hits += s.hits;
-            stats.spill_misses += s.misses;
-            stats.spill_corrupt_segments += s.corrupt_segments;
-        }
-        outcome
+        Ok(cache.map_or_else(CacheStats::default, |c| c.stats()))
     }
 }
 
-/// Hand `assignment` to any idle usable worker other than `exclude`,
-/// recording it as that worker's current task. Returns the worker that
-/// took the assignment.
-fn dispatch_to<T: WorkerTransport>(
-    transport: &mut T,
-    current: &mut [Option<(TaskId, u32)>],
+/// Send `assignment` to any idle live worker other than `exclude`,
+/// recording it as that worker's current task and marking workers whose
+/// channel is gone as dead. Returns whether a worker took it.
+fn dispatch(
+    slots: &mut [WorkerSlot],
     exclude: Option<usize>,
-    assignment: &Assignment,
-) -> Option<usize> {
-    let workers = transport.worker_count();
-    for (w, slot) in current.iter_mut().enumerate().take(workers) {
-        if Some(w) == exclude || slot.is_some() || !transport.usable(w) {
+    assignment: Assignment,
+    stats: &mut CoordinatorStats,
+) -> bool {
+    let task = (assignment.task, assignment.attempt);
+    for (w, slot) in slots.iter_mut().enumerate() {
+        if Some(w) == exclude || !slot.alive || slot.current.is_some() {
             continue;
         }
-        if transport.try_send(w, assignment) {
-            *slot = Some((assignment.task, assignment.attempt));
-            return Some(w);
+        if slot.tx.send(ToWorker::Assign(assignment.clone())).is_ok() {
+            slot.current = Some(task);
+            return true;
         }
+        // The channel is dead: the worker crashed some time ago.
+        slot.alive = false;
+        stats.workers_lost += 1;
     }
-    None
-}
-
-/// A worker died or rejected its assignment: clear its current task and
-/// put that task back in play. A lost *shard* burns a retry (like a
-/// timeout); a lost *spot check* retries the audit until its budget is
-/// spent, then accepts on the already-verified content hash — losing the
-/// audit must never fail the sweep.
-#[allow(clippy::too_many_arguments)]
-fn requeue_lost(
-    cfg: &CoordinatorConfig,
-    worker: usize,
-    current: &mut [Option<(TaskId, u32)>],
-    shards: &[ShardSpec],
-    state: &mut [ShardState],
-    attempts: &mut [u32],
-    done: &mut [Option<Vec<SweepPoint>>],
-    writer: &mut Option<CheckpointWriter>,
-    remaining: &mut usize,
-    accepted_new: &mut u64,
-    stats: &mut CoordinatorStats,
-) -> Result<(), CoordinatorError> {
-    let Some((task, _)) = current.get_mut(worker).and_then(|c| c.take()) else {
-        return Ok(());
-    };
-    match task {
-        TaskId::Shard(shard) => {
-            let i = shard as usize;
-            if matches!(state[i], ShardState::Running { .. }) {
-                stats.retries += 1;
-                attempts[i] += 1;
-                if attempts[i] > cfg.max_retries {
-                    return Err(CoordinatorError::ShardFailed {
-                        shard,
-                        attempts: attempts[i],
-                    });
-                }
-                state[i] = ShardState::Queued {
-                    ready_at: Some(Deadline::now() + backoff(cfg, attempts[i])),
-                };
-            }
-        }
-        TaskId::Spot(shard) => {
-            let i = shard as usize;
-            let taken = std::mem::replace(&mut state[i], ShardState::Queued { ready_at: None });
-            match taken {
-                ShardState::SpotRunning {
-                    points,
-                    computed_by,
-                    spot_attempt,
-                    ..
-                } => {
-                    let spot_attempt = spot_attempt + 1;
-                    if spot_attempt > cfg.max_retries {
-                        stats.spot_checks_skipped += 1;
-                        accept_shard(
-                            i,
-                            points,
-                            shards,
-                            writer,
-                            done,
-                            state,
-                            remaining,
-                            accepted_new,
-                        )?;
-                    } else {
-                        state[i] = ShardState::Held {
-                            points,
-                            computed_by,
-                            spot_attempt,
-                            ready_at: Some(Deadline::now() + backoff(cfg, spot_attempt)),
-                        };
-                    }
-                }
-                other => state[i] = other,
-            }
-        }
-    }
-    Ok(())
+    false
 }
 
 #[cfg(test)]

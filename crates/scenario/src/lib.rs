@@ -36,6 +36,16 @@
 //! treatment as allocator sweeps. See the [`executor`] module docs for the
 //! exact determinism contract.
 //!
+//! ## Fault-tolerant coordination
+//!
+//! [`Scenario::coordinate`] and [`Scenario::coordinate_grid`] run the same
+//! jobs on the [`coordinator`]: a fleet of scoped worker threads that
+//! hash-verifies (and optionally spot-checks) every shard, retries lost or
+//! corrupt shards, falls back to a serial pass when every worker is lost,
+//! and can stream accepted shards to a [`checkpoint`] file to resume a
+//! killed sweep. The merged report is bitwise identical to
+//! [`Scenario::sweep`].
+//!
 //! ## Topology families
 //!
 //! Random sweeps draw their topologies from a [`TopologyFamily`]:
@@ -104,22 +114,18 @@ pub mod coordinator;
 pub mod executor;
 mod hash;
 pub mod protocol;
-mod spill;
-mod supervisor;
-pub mod transport;
 
 pub use cache::{CacheStats, SharedSolveCache, SolveCache};
 pub use checkpoint::CheckpointError;
 pub use coordinator::{
     CoordinatorConfig, CoordinatorError, CoordinatorReport, CoordinatorStats, FaultEvent,
-    FaultKind, FaultPlan, ProcessConfig, TransportKind,
+    FaultKind, FaultPlan,
 };
 pub use protocol::ProtocolScenarioError;
 pub use protocol::{
     ProtocolScenario, ProtocolScenarioBuilder, ProtocolSweepGrid, ProtocolSweepPoint,
     ProtocolSweepReport,
 };
-pub use transport::TransportError;
 
 use cache::{SolveKey, TopologyKey};
 use hash::Fnv1a;
@@ -654,26 +660,6 @@ impl Scenario {
     fn worker_cache(&self) -> Option<SolveCache> {
         self.caching_enabled()
             .then(|| SolveCache::with_capacity(self.cache_points, self.cache_networks))
-    }
-
-    /// A worker cache with a disk spill tier attached at `spill` (the
-    /// coordinator's spill-enabled workers). The tier binds to the
-    /// scenario's solve-identity digest, so a signature-less allocator —
-    /// which could collide with a different configuration's segment —
-    /// disables spilling entirely, mirroring the shared-cache policy. An
-    /// unopenable segment likewise degrades to the plain in-memory cache;
-    /// the spill tier is an optimization and must never fail a sweep.
-    pub(crate) fn worker_cache_with_spill(
-        &self,
-        spill: Option<&std::path::Path>,
-    ) -> Option<SolveCache> {
-        let mut cache = self.worker_cache()?;
-        if let (Some(path), Some(sig)) = (spill, self.scenario_sig) {
-            if let Ok(tier) = crate::spill::SpillTier::open(path, sig) {
-                cache.attach_spill(tier);
-            }
-        }
-        Some(cache)
     }
 
     /// Run one solve per seed, reusing the workspace — and the scenario's

@@ -92,6 +92,44 @@ fn coordinator_grid_matches_serial_grid_sweep() {
     assert_bitwise(&out.report.points, &serial.points);
 }
 
+/// The merged report carries the workers' cache counters (and, after a
+/// lost fleet, the serial fallback's): a cold, fault-free sweep without
+/// spot checks looks every job up exactly once.
+#[test]
+fn coordinated_reports_carry_worker_cache_counters() {
+    let jobs = SEEDS.end - SEEDS.start;
+    let crash_both = FaultPlan::from_events(
+        (0..2)
+            .map(|worker| FaultEvent {
+                kind: FaultKind::CrashWorker,
+                worker,
+                shard: worker as u64,
+            })
+            .collect(),
+    );
+    for (plan, fallback) in [(FaultPlan::none(), false), (crash_both, true)] {
+        let cfg = CoordinatorConfig {
+            spot_check: 0,
+            // Generous: a timed-out shard is computed twice, which would
+            // double-count its lookups.
+            shard_timeout: Duration::from_secs(30),
+            fault_plan: plan,
+            ..fast_cfg()
+        };
+        let out = scenario()
+            .coordinate(SEEDS, &cfg)
+            .expect("cold run succeeds");
+        assert_eq!(out.stats.serial_fallback, fallback);
+        let cache = out.report.cache;
+        assert!(cache.misses > 0, "a cold sweep misses: {cache:?}");
+        assert_eq!(
+            cache.hits + cache.misses,
+            jobs,
+            "one lookup per job: {cache:?}"
+        );
+    }
+}
+
 /// One targeted plan per fault class, each asserting both the differential
 /// and that the fault actually exercised its handling path.
 #[test]
@@ -140,9 +178,6 @@ fn each_fault_class_is_survived_and_observed() {
                 out.stats.duplicates_dropped >= 1,
                 "at least one duplicate delivery is dropped"
             ),
-            FaultKind::KillProcess | FaultKind::TornFrame => {
-                unreachable!("process-transport kinds are exercised in tests/process_chaos.rs")
-            }
         }
     }
 }
