@@ -1,6 +1,6 @@
 //! Benchmarks the tentpole hot-path claim: `Allocator::solve` with a reused
-//! `SolverWorkspace` vs the legacy per-call free-function path, on the
-//! Figure 5 random-join sweep (RandomJoin link-rate models force the
+//! `SolverWorkspace` vs a fresh workspace per call (`Allocator::allocate`),
+//! on the Figure 5 random-join sweep (RandomJoin link-rate models force the
 //! bisection solver, the allocator's most scratch-hungry code path).
 //!
 //! Alongside wall-clock timings, a counting global allocator reports heap
@@ -57,10 +57,10 @@ fn sweep_corpus() -> (Vec<Network>, LinkRateConfig) {
     (nets, cfg)
 }
 
-#[allow(deprecated)]
-fn legacy_sweep(nets: &[Network], cfg: &LinkRateConfig) -> f64 {
+fn fresh_sweep(nets: &[Network], cfg: &LinkRateConfig) -> f64 {
+    let allocator = Hybrid::as_declared().with_config(cfg.clone());
     nets.iter()
-        .map(|net| mlf_core::max_min_allocation_with(net, cfg).total_rate())
+        .map(|net| allocator.allocate(net).total_rate())
         .sum()
 }
 
@@ -77,16 +77,16 @@ fn report_allocation_counts(nets: &[Network], cfg: &LinkRateConfig) {
     let (warm_total, _) = allocations_during(|| workspace_sweep(nets, &allocator, &mut ws));
     let (reused_total, reused_allocs) =
         allocations_during(|| workspace_sweep(nets, &allocator, &mut ws));
-    let (legacy_total, legacy_allocs) = allocations_during(|| legacy_sweep(nets, cfg));
+    let (fresh_total, fresh_allocs) = allocations_during(|| fresh_sweep(nets, cfg));
     assert_eq!(warm_total, reused_total);
-    assert_eq!(reused_total, legacy_total, "paths must agree");
+    assert_eq!(reused_total, fresh_total, "paths must agree");
     let n = nets.len() as u64;
     println!(
         "allocations/solve over the {n}-network random-join sweep: \
-         legacy per-call path {}  |  reused workspace {}  ({:.1}x fewer)",
-        legacy_allocs / n,
+         fresh workspace per call {}  |  reused workspace {}  ({:.1}x fewer)",
+        fresh_allocs / n,
         reused_allocs / n,
-        legacy_allocs as f64 / reused_allocs.max(1) as f64
+        fresh_allocs as f64 / reused_allocs.max(1) as f64
     );
 }
 
@@ -95,8 +95,8 @@ fn bench_sweep(c: &mut Criterion) {
     report_allocation_counts(&nets, &cfg);
 
     let mut group = c.benchmark_group("allocator/fig5_random_join_sweep");
-    group.bench_function("legacy_per_call", |b| {
-        b.iter(|| black_box(legacy_sweep(&nets, &cfg)))
+    group.bench_function("fresh_per_call", |b| {
+        b.iter(|| black_box(fresh_sweep(&nets, &cfg)))
     });
     let allocator = Hybrid::as_declared().with_config(cfg.clone());
     let mut ws = SolverWorkspace::new();
@@ -113,9 +113,8 @@ fn bench_single_network_resolve(c: &mut Criterion) {
     let allocator = Hybrid::as_declared().with_config(cfg.clone());
     let mut ws = SolverWorkspace::new();
     let mut group = c.benchmark_group("allocator/repeated_resolve_40n_10s");
-    #[allow(deprecated)]
-    group.bench_function("legacy_per_call", |b| {
-        b.iter(|| black_box(mlf_core::max_min_allocation_with(&net, &cfg)))
+    group.bench_function("fresh_per_call", |b| {
+        b.iter(|| black_box(allocator.allocate(&net)))
     });
     group.bench_function("reused_workspace", |b| {
         b.iter(|| black_box(allocator.solve(&net, &mut ws).allocation.total_rate()))

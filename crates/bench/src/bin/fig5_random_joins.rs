@@ -8,10 +8,9 @@
 //!    [--max-receivers 100] [--mc-quanta 200] [--mc-sigma 100]
 //!    [--sweep-seeds 64] [--threads 0] [--checkpoint PATH]`
 //!
-//! With `--checkpoint PATH` each family's network sweep runs on the
-//! fault-tolerant coordinator at `--threads` workers and streams accepted
-//! shards to `PATH.<family>`; a re-run with the same path resumes from
-//! those files. The coordinator's `CoordinatorStats` are printed per
+//! With `--checkpoint PATH` each family's network sweep appends every
+//! finished shard of seeds to `PATH.<family>`; a re-run with the same path
+//! resumes from those files and prints how many shards it restored per
 //! family. The merged bytes are identical with and without a checkpoint.
 
 use mlf_bench::{cli, knob, or_exit, write_csv, Args, Table};
@@ -19,7 +18,8 @@ use mlf_core::allocator::MultiRate;
 use mlf_core::LinkRateModel;
 use mlf_layering::randomjoin::{self, Figure5Config};
 use mlf_net::TopologyFamily;
-use mlf_scenario::{CoordinatorConfig, CoordinatorStats, LinkRates, Scenario};
+use mlf_scenario::checkpoint::SHARD_SIZE;
+use mlf_scenario::{LinkRates, Scenario};
 use std::path::PathBuf;
 
 const KNOBS: &[cli::Knob] = &[
@@ -51,7 +51,7 @@ const KNOBS: &[cli::Knob] = &[
     knob(
         "checkpoint",
         "",
-        "checkpoint base path: run the network sweep on the coordinator (per-family suffix; empty = off)",
+        "checkpoint base path: resume the network sweep from PATH.<family> (empty = off)",
     ),
 ];
 
@@ -158,7 +158,7 @@ fn main() {
             }));
         }
     }
-    let mut coordinator_stats: Vec<(&'static str, CoordinatorStats)> = Vec::new();
+    let mut restored_shards: Vec<(&'static str, u64)> = Vec::new();
     for family in families {
         let scenario = Scenario::builder()
             .label(format!("fig5-sweep/{}", family.label()))
@@ -168,14 +168,11 @@ fn main() {
             .build()
             .expect("family sweep scenario");
         let report = if !checkpoint.is_empty() {
-            let cfg = CoordinatorConfig {
-                workers: threads,
-                checkpoint: Some(PathBuf::from(format!("{checkpoint}.{}", family.label()))),
-                ..CoordinatorConfig::default()
-            };
-            let out = or_exit(scenario.coordinate(0..sweep_seeds, &cfg));
-            coordinator_stats.push((family.label(), out.stats));
-            out.report
+            let path = PathBuf::from(format!("{checkpoint}.{}", family.label()));
+            let (report, restored) =
+                or_exit(scenario.sweep_par_checkpointed(0..sweep_seeds, threads, &path));
+            restored_shards.push((family.label(), restored));
+            report
         } else {
             scenario.sweep_par(0..sweep_seeds, threads)
         };
@@ -192,8 +189,12 @@ fn main() {
         ]);
     }
     print!("{sweep_table}");
-    for (family, stats) in &coordinator_stats {
-        println!("\ncoordinated sweep [{family}]:\n{stats}");
+    let shards = sweep_seeds.div_ceil(SHARD_SIZE as u64);
+    if !restored_shards.is_empty() {
+        println!();
+    }
+    for (family, restored) in &restored_shards {
+        println!("checkpoint [{family}]: {restored}/{shards} shards restored");
     }
     println!(
         "\n(cache h/m/e: sweep solve-cache hits/misses/evictions — every (seed, model) cell \

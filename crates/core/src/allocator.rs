@@ -502,7 +502,7 @@ pub struct Hybrid {
 
 impl Hybrid {
     /// Solve with each session's declared type and efficient link rates —
-    /// the regime of the legacy `max_min_allocation` entry point.
+    /// the Section 2 setting.
     pub fn as_declared() -> Self {
         Hybrid {
             regimes: Regimes::AsDeclared,

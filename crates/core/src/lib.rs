@@ -62,16 +62,6 @@
 //! assert_eq!(declared.allocation.rates(), single.allocation.rates());
 //! assert_eq!(ws.solves(), 3);
 //! ```
-//!
-//! ## Migration note
-//!
-//! The pre-0.2 free functions — `max_min_allocation`,
-//! `max_min_allocation_with`, `multi_rate_max_min`, `single_rate_max_min`,
-//! `weighted::weighted_max_min`, `unicast::unicast_max_min` — remain as
-//! thin `#[deprecated]` shims delegating to the [`Allocator`]
-//! implementations above, so downstream code keeps compiling. New code
-//! should use the trait (or the `Scenario` builder in the `mlf-scenario`
-//! crate, which adds topology/metrics/sweep composition on top).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -100,15 +90,9 @@ pub use allocator::{
 };
 pub use linkrate::{LinkRateConfig, LinkRateModel};
 pub use maxmin::FreezeReason;
-#[allow(deprecated)]
-pub use maxmin::{
-    max_min_allocation, max_min_allocation_with, multi_rate_max_min, single_rate_max_min,
-};
 pub use maxmin::{solve, MaxMinSolution};
 pub use metrics::{jain_index, min_max_spread, satisfaction};
 pub use ordering::{is_min_unfavorable, is_strictly_min_unfavorable, ordered};
 pub use properties::{check_all, FairnessReport};
 pub use redundancy::{bottleneck_fair_rate, normalized_fair_rate, redundancy};
-#[allow(deprecated)]
-pub use weighted::weighted_max_min;
 pub use weighted::Weights;

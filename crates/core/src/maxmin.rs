@@ -6,9 +6,8 @@
 //! implementations ([`crate::allocator::MultiRate`],
 //! [`crate::allocator::SingleRate`], [`crate::allocator::Hybrid`], …),
 //! which share scratch buffers through a
-//! [`crate::allocator::SolverWorkspace`]. The free functions in this module
-//! predate that API and remain as thin deprecated shims; [`solve`] is the
-//! low-level one-shot engine entry they and the trait both reach.
+//! [`crate::allocator::SolverWorkspace`]. [`solve`] is the low-level
+//! one-shot engine entry the trait also reaches.
 //!
 //! # Algorithm
 //!
@@ -101,63 +100,6 @@ impl MaxMinSolution {
             _ => None,
         }
     }
-}
-
-/// Compute the max-min fair allocation under the efficient link-rate model
-/// (`u_{i,j} = max` — the Section 2 setting) for the network's session-type
-/// mapping as given.
-#[deprecated(
-    since = "0.2.0",
-    note = "use `allocator::Hybrid::as_declared()` via the `Allocator` trait \
-            (or a `Scenario` from the mlf-scenario crate)"
-)]
-pub fn max_min_allocation(net: &Network) -> Allocation {
-    solve(net, &LinkRateConfig::efficient(net.session_count())).allocation
-}
-
-/// Compute the max-min fair allocation under explicit per-session link-rate
-/// models (the Section 3 setting).
-#[deprecated(
-    since = "0.2.0",
-    note = "use `allocator::Hybrid::as_declared().with_config(cfg)` via the \
-            `Allocator` trait"
-)]
-pub fn max_min_allocation_with(net: &Network, cfg: &LinkRateConfig) -> Allocation {
-    solve(net, cfg).allocation
-}
-
-/// The multi-rate max-min fair allocation: every session treated as
-/// multi-rate (Theorem 1's setting), efficient link rates.
-#[deprecated(
-    since = "0.2.0",
-    note = "use `allocator::MultiRate::new()` via the `Allocator` trait"
-)]
-pub fn multi_rate_max_min(net: &Network) -> Allocation {
-    let mut ws = SolverWorkspace::new();
-    solve_in(
-        net,
-        &LinkRateConfig::efficient(net.session_count()),
-        &Regimes::Uniform(mlf_net::SessionType::MultiRate),
-        &mut ws,
-    )
-    .allocation
-}
-
-/// The single-rate max-min fair allocation: every session treated as
-/// single-rate (the Tzeng–Siu setting), efficient link rates.
-#[deprecated(
-    since = "0.2.0",
-    note = "use `allocator::SingleRate::new()` via the `Allocator` trait"
-)]
-pub fn single_rate_max_min(net: &Network) -> Allocation {
-    let mut ws = SolverWorkspace::new();
-    solve_in(
-        net,
-        &LinkRateConfig::efficient(net.session_count()),
-        &Regimes::Uniform(mlf_net::SessionType::SingleRate),
-        &mut ws,
-    )
-    .allocation
 }
 
 /// One-shot progressive-filling solve with diagnostics, honouring each
@@ -863,29 +805,6 @@ mod tests {
             for &a in rs {
                 assert!((a - rs[0]).abs() < 1e-9, "seed {seed}: single-rate uniform");
             }
-        }
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_shims_agree_with_the_trait() {
-        for seed in 0..10u64 {
-            let net = mlf_net::topology::random_network(seed, 12, 4, 4).unwrap();
-            assert_eq!(
-                max_min_allocation(&net).rates(),
-                Hybrid::as_declared().allocate(&net).rates(),
-                "seed {seed}"
-            );
-            assert_eq!(
-                multi_rate_max_min(&net).rates(),
-                MultiRate::new().allocate(&net).rates(),
-                "seed {seed}"
-            );
-            assert_eq!(
-                single_rate_max_min(&net).rates(),
-                SingleRate::new().allocate(&net).rates(),
-                "seed {seed}"
-            );
         }
     }
 }

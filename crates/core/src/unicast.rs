@@ -11,28 +11,11 @@
 //! two on all-unicast networks is a meaningful differential test.
 //!
 //! The preferred entry point is [`crate::allocator::Unicast`] through the
-//! [`crate::allocator::Allocator`] trait; the [`unicast_max_min`] free
-//! function remains as a deprecated shim.
+//! [`crate::allocator::Allocator`] trait.
 
-use crate::allocation::Allocation;
 use crate::allocator::SolverWorkspace;
 use crate::maxmin::{FreezeReason, MaxMinSolution};
 use mlf_net::{LinkId, Network};
-
-/// Compute the unicast max-min fair allocation of a network in which every
-/// session is unicast.
-///
-/// # Panics
-///
-/// Panics if any session has more than one receiver — this baseline is
-/// deliberately unicast-only.
-#[deprecated(
-    since = "0.2.0",
-    note = "use `allocator::Unicast::new()` via the `Allocator` trait"
-)]
-pub fn unicast_max_min(net: &Network) -> Allocation {
-    unicast_solve_in(net, &mut SolverWorkspace::new()).allocation
-}
 
 /// Textbook water-filling into a caller-provided workspace: the engine
 /// behind [`crate::allocator::Unicast`]. Flow `i` occupies the workspace's
@@ -41,7 +24,7 @@ pub fn unicast_max_min(net: &Network) -> Allocation {
 pub(crate) fn unicast_solve_in(net: &Network, ws: &mut SolverWorkspace) -> MaxMinSolution {
     assert!(
         net.sessions().iter().all(|s| s.is_unicast()),
-        "unicast_max_min requires an all-unicast network"
+        "the unicast solver requires an all-unicast network"
     );
     ws.reset(net);
     let m = net.session_count();
@@ -239,21 +222,5 @@ mod tests {
             let cfg = LinkRateConfig::efficient(net.session_count());
             assert!(a.is_feasible(&net, &cfg));
         }
-    }
-
-    #[test]
-    fn legacy_shim_matches_the_trait() {
-        let mut g = Graph::new();
-        let n = g.add_nodes(3);
-        g.add_link(n[0], n[1], 10.0).unwrap();
-        g.add_link(n[1], n[2], 6.0).unwrap();
-        let net = Network::new(
-            g,
-            vec![Session::unicast(n[0], n[2]), Session::unicast(n[0], n[1])],
-        )
-        .unwrap();
-        #[allow(deprecated)]
-        let legacy = unicast_max_min(&net);
-        assert_eq!(legacy.rates(), Unicast::new().allocate(&net).rates());
     }
 }

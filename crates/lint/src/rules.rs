@@ -277,16 +277,6 @@ fn float_sort(ctx: &FileCtx<'_>, findings: &mut Vec<Finding>) {
 /// identity, and `RandomState` smuggle per-run entropy into results.
 /// Deterministic library code takes seeds and configuration as explicit
 /// inputs; only harness/tooling code may read the ambient world.
-///
-/// The one sanctioned allow-pattern: **timeout clocks for scheduling**.
-/// Fault-tolerant runtimes (the sweep coordinator) may read the
-/// monotonic clock to decide *when* to retry, reassign, or give up
-/// waiting — provided the clock can never influence *what* is produced.
-/// The allow's reason must state that boundary; the differential that
-/// enforces it is the coordinator's fault-injection suite, which pins
-/// the merged bytes to the fault-free serial sweep under every timeout
-/// schedule. A clock that selects, orders, truncates, or transforms
-/// result data is a real finding — never allow it.
 fn ambient_entropy(ctx: &FileCtx<'_>, findings: &mut Vec<Finding>) {
     if ctx.info.class != FileClass::Library || !ctx.crate_in(&ctx.cfg.deterministic_crates) {
         return;

@@ -107,7 +107,7 @@ impl CacheStats {
     /// The counters accumulated since `before` was captured (one sweep's
     /// share of a longer-lived cache's totals). Saturating: passing
     /// snapshots in the wrong order yields zeros, not wrapped counts.
-    pub fn since(&self, before: &CacheStats) -> CacheStats {
+    pub(crate) fn since(&self, before: &CacheStats) -> CacheStats {
         CacheStats {
             hits: self.hits.saturating_sub(before.hits),
             misses: self.misses.saturating_sub(before.misses),

@@ -1,12 +1,16 @@
-//! Append-only sweep checkpoints: the durability half of the
-//! [`coordinator`](crate::coordinator).
+//! Checkpointed sweeps: [`Scenario::sweep_par_checkpointed`] is
+//! [`Scenario::sweep_par`] plus an append-only file.
 //!
-//! A checkpoint file records every shard a coordinated sweep has accepted,
-//! one line per shard, so a killed run resumes from disk instead of
-//! recomputing — and provably produces the same bytes, because each line
-//! carries the shard's canonical point encoding plus two independent
-//! digests (a per-line checksum and the shard content hash the workers
-//! originally reported).
+//! The job list is cut into fixed shards of [`SHARD_SIZE`] jobs. The open
+//! shards run through [`crate::executor::run_jobs_par_with_state`] with
+//! the same worker state as [`Scenario::sweep_par`], and each shard
+//! appends one sealed, fsynced line to the file before it returns its
+//! points. The file is therefore always a valid checkpoint of every shard
+//! finished so far. A re-run with the same path loads the file, computes
+//! only the missing shards, and merges all shards in shard order. The report is **bitwise
+//! identical** to [`Scenario::sweep`] however often the process died on the
+//! way, because every sweep point is a pure function of its
+//! `(model, seed)` job.
 //!
 //! # Format
 //!
@@ -21,37 +25,52 @@
 //! ```
 //!
 //! * The **header** binds the file to one sweep: `sweep` is the
-//!   coordinator's sweep-identity digest (label, allocator signature,
-//!   audit switch, source parameters, and the full job list), `shards` and
-//!   `shard_size` pin the shard geometry. A checkpoint can never resume a
-//!   *different* sweep — mismatches are [`CheckpointError::HeaderMismatch`].
+//!   sweep-identity digest (label, allocator signature, audit switch,
+//!   source parameters, and the full job list), `shards` and `shard_size`
+//!   pin the shard geometry. A checkpoint can never resume a *different*
+//!   sweep — mismatches are [`CheckpointError::HeaderMismatch`].
 //! * Each **shard line** stores the shard's points in the canonical
 //!   66-byte encoding ([`encode_point`]), hex-armored, plus the FNV-1a
-//!   content hash ([`shard_content_hash`]) the shard was verified under.
+//!   content hash ([`shard_content_hash`]) of the shard.
 //! * Every line ends with `"check"`: the FNV-1a digest of the line's bytes
 //!   up to (and excluding) the `,"check"` suffix. A flipped bit anywhere
 //!   in a line is detected on load.
 //!
-//! # Tail policy
+//! # Torn tails
 //!
 //! A crash can only damage the **tail** of an append-only file: the writer
-//! flushes line by line, so every earlier line is complete. On load,
-//! [`TailPolicy::Recover`] discards an *unterminated* final line (no
-//! trailing newline) and reports the surviving byte length so the resumed
-//! writer can truncate and continue; a line that is terminated but fails
-//! its checksum or its content hash is damage the append-only model cannot
-//! explain, and is always a hard [`CheckpointError::Corrupt`] — a bad
-//! shard is never merged. [`TailPolicy::Strict`] rejects the unterminated
-//! tail too (the audit mode the durability tests use).
+//! syncs line by line, so every earlier line is complete. On load, an
+//! *unterminated* final line (no trailing newline) is discarded and the
+//! surviving byte length reported, so the resumed writer can truncate and
+//! continue; a zero-byte file (a kill between creating the file and
+//! writing its header) is the empty valid prefix. A line that is
+//! terminated but fails its checksum or its content hash is damage the
+//! append-only model cannot explain, and is always a hard
+//! [`CheckpointError::Corrupt`] — a bad shard is never merged.
+//!
+//! # Staleness
+//!
+//! The header pins the sweep's *inputs*, not the bits the running build
+//! produces from them: a file written by a build whose solver rounds
+//! differently, or for a different fixed network with the same session
+//! count, would pass every check above. So a resume solves the first job
+//! of the lowest-index restored shard again (fresh workspace, no cache)
+//! and compares it bitwise with the restored point; a mismatch is
+//! [`CheckpointError::Stale`]. Agreement between the threads of one build
+//! is pinned separately by the serial ≡ parallel differentials.
 
-use crate::SweepPoint;
+use crate::hash::{fnv1a, Fnv1a};
+use crate::{LinkRates, NetworkSource, Scenario, ScenarioMetrics, SweepPoint, SweepReport};
+use mlf_core::allocator::SolverWorkspace;
 use mlf_core::LinkRateModel;
 use std::fs::{File, OpenOptions};
 use std::io::{Read as _, Seek as _, SeekFrom, Write as _};
 use std::path::{Path, PathBuf};
+use std::sync::{Mutex, PoisonError};
 
-use crate::hash::{fnv1a, Fnv1a};
-use crate::ScenarioMetrics;
+/// Jobs per checkpoint shard. Part of the header, so changing it makes
+/// every existing checkpoint refuse to resume.
+pub const SHARD_SIZE: usize = 8;
 
 /// The format tag every checkpoint header carries.
 pub const FORMAT: &str = "mlf-sweep-checkpoint-v1";
@@ -71,11 +90,6 @@ pub enum CheckpointError {
         /// The OS error, stringified.
         message: String,
     },
-    /// The file has no complete header line.
-    MissingHeader {
-        /// The checkpoint path.
-        path: PathBuf,
-    },
     /// The header belongs to a different sweep or geometry.
     HeaderMismatch {
         /// Which header field disagreed.
@@ -93,18 +107,19 @@ pub enum CheckpointError {
         /// What was wrong.
         reason: String,
     },
-    /// The final line is unterminated (no trailing newline) under
-    /// [`TailPolicy::Strict`].
-    TruncatedTail {
-        /// 1-based line number of the torn line.
-        line: usize,
-    },
     /// A shard line names a shard index outside the header's geometry.
     ShardOutOfRange {
         /// The stored shard index.
         shard: u64,
         /// The header's shard count.
         shards: u64,
+    },
+    /// A restored point differs bitwise from what this build computes for
+    /// the same job: the file was written by a build (or for a fixed
+    /// network) whose bits differ. Never merged.
+    Stale {
+        /// The restored shard whose first point was re-solved.
+        shard: u64,
     },
 }
 
@@ -118,9 +133,6 @@ impl std::fmt::Display for CheckpointError {
                     path.display()
                 )
             }
-            CheckpointError::MissingHeader { path } => {
-                write!(f, "checkpoint {} has no complete header", path.display())
-            }
             CheckpointError::HeaderMismatch {
                 field,
                 expected,
@@ -132,32 +144,24 @@ impl std::fmt::Display for CheckpointError {
             CheckpointError::Corrupt { line, reason } => {
                 write!(f, "checkpoint line {line} is corrupt: {reason}")
             }
-            CheckpointError::TruncatedTail { line } => {
-                write!(f, "checkpoint line {line} is truncated (unterminated tail)")
-            }
             CheckpointError::ShardOutOfRange { shard, shards } => {
                 write!(f, "checkpoint shard {shard} out of range ({shards} shards)")
             }
+            CheckpointError::Stale { shard } => write!(
+                f,
+                "checkpoint is stale: shard {shard} differs from what this build computes; \
+                 delete the file to recompute"
+            ),
         }
     }
 }
 
 impl std::error::Error for CheckpointError {}
 
-/// What to do with an unterminated final line on load.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum TailPolicy {
-    /// Any anomaly is an error (audit mode).
-    Strict,
-    /// Discard an unterminated tail and resume before it; terminated but
-    /// corrupt lines remain hard errors.
-    Recover,
-}
-
 /// The sweep identity a checkpoint is bound to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CheckpointMeta {
-    /// The coordinator's sweep-identity digest.
+    /// The sweep-identity digest.
     pub sweep: u64,
     /// Total shard count of the sweep.
     pub shards: u64,
@@ -174,7 +178,7 @@ pub struct ShardRecord {
     pub start: u64,
     /// The shard's points, in job order.
     pub points: Vec<SweepPoint>,
-    /// The FNV-1a content hash the shard was verified under.
+    /// The shard's FNV-1a content hash ([`shard_content_hash`]).
     pub hash: u64,
 }
 
@@ -185,8 +189,7 @@ pub struct LoadedCheckpoint {
     pub shards: Vec<ShardRecord>,
     /// Byte length of the intact prefix (what a resumed writer keeps).
     pub valid_len: u64,
-    /// Whether an unterminated tail was discarded
-    /// ([`TailPolicy::Recover`] only).
+    /// Whether an unterminated tail was discarded.
     pub dropped_tail: bool,
     /// Whether the intact prefix includes the header line.
     pub has_header: bool,
@@ -198,7 +201,7 @@ pub struct LoadedCheckpoint {
 
 /// The wire code of an optional uniform link-rate model: a tag byte plus
 /// the model's parameter bits.
-pub(crate) fn model_code(model: Option<LinkRateModel>) -> (u8, u64) {
+fn model_code(model: Option<LinkRateModel>) -> (u8, u64) {
     match model {
         None => (0, 0),
         Some(LinkRateModel::Efficient) => (1, 0),
@@ -226,8 +229,8 @@ fn model_from_code(tag: u8, bits: u64) -> Result<Option<LinkRateModel>, String> 
 /// The encoding is **total and injective on bit patterns**: every `f64` is
 /// stored by `to_bits`, so NaNs and signed zeros round-trip exactly and
 /// two points are bitwise equal iff their encodings are equal — which is
-/// why the coordinator's shard hashes, spot-check comparisons, and the
-/// checkpoint file all speak this encoding rather than `PartialEq`.
+/// why the shard hashes, the staleness check, and the checkpoint file all
+/// speak this encoding rather than `PartialEq`.
 pub fn encode_point(p: &SweepPoint) -> [u8; POINT_BYTES] {
     let mut out = [0u8; POINT_BYTES];
     out[0..8].copy_from_slice(&p.seed.to_le_bytes());
@@ -283,8 +286,7 @@ pub fn decode_point(bytes: &[u8]) -> Result<SweepPoint, String> {
 
 /// The deterministic content hash of one shard: FNV-1a over the shard
 /// index, its job offset, its length, and every point's canonical
-/// encoding. Workers tag their deliveries with this; the coordinator
-/// recomputes it before accepting, and the checkpoint stores it.
+/// encoding. The checkpoint stores it per line and verifies it on load.
 pub fn shard_content_hash(shard: u64, start: u64, points: &[SweepPoint]) -> u64 {
     let mut h = Fnv1a::new();
     h.write_u64(shard);
@@ -542,9 +544,9 @@ fn io_err(path: &Path, op: &'static str, e: std::io::Error) -> CheckpointError {
     }
 }
 
-/// The append-only writer side of a checkpoint file. Every accepted shard
-/// becomes one flushed line, so the on-disk prefix is always a valid
-/// checkpoint of everything accepted so far.
+/// The append-only writer side of a checkpoint file. Every finished shard
+/// becomes one synced line, so the on-disk prefix is always a valid
+/// checkpoint of everything finished so far.
 #[derive(Debug)]
 pub struct CheckpointWriter {
     file: File,
@@ -592,10 +594,10 @@ impl CheckpointWriter {
         Ok(w)
     }
 
-    /// Append one accepted shard, flush it, and **fsync** it — the shard
-    /// is durably on disk before the coordinator treats it as accepted,
-    /// so a coordinator killed between accept and merge (even by power
-    /// loss, not just SIGKILL) never loses an accepted shard line.
+    /// Append one finished shard, flush it, and **fsync** it — the shard
+    /// is durably on disk before its points return to the executor, so a
+    /// process killed between a shard and the merge (even by power loss,
+    /// not just SIGKILL) never loses a finished shard line.
     pub fn append_shard(&mut self, rec: &ShardRecord) -> Result<(), CheckpointError> {
         self.write_line(&shard_line(rec))
     }
@@ -627,12 +629,12 @@ impl Drop for CheckpointWriter {
 }
 
 /// Load a checkpoint, verifying every line checksum, every shard content
-/// hash, and the header against `expected`. See the module docs for what
-/// each [`TailPolicy`] tolerates.
+/// hash, and the header against `expected`. An unterminated final line is
+/// dropped ([`LoadedCheckpoint::dropped_tail`]) and an empty file loads as
+/// the empty prefix; see the module docs.
 pub fn load_checkpoint(
     path: &Path,
     expected: &CheckpointMeta,
-    policy: TailPolicy,
 ) -> Result<LoadedCheckpoint, CheckpointError> {
     let mut src = String::new();
     File::open(path)
@@ -651,14 +653,9 @@ pub fn load_checkpoint(
         line_no += 1;
         let Some(nl) = rest.find('\n') else {
             // Unterminated tail: the one anomaly an append-only crash can
-            // produce. Recover drops it; Strict rejects it.
-            return match policy {
-                TailPolicy::Strict => Err(CheckpointError::TruncatedTail { line: line_no }),
-                TailPolicy::Recover => {
-                    loaded.dropped_tail = true;
-                    Ok(loaded)
-                }
-            };
+            // produce. Drop it; the resumed writer truncates it away.
+            loaded.dropped_tail = true;
+            break;
         };
         let line = &rest[..nl];
         rest = &rest[nl + 1..];
@@ -682,11 +679,6 @@ pub fn load_checkpoint(
             loaded.shards.push(rec);
         }
         loaded.valid_len += line.len() as u64 + 1;
-    }
-    if !loaded.has_header {
-        return Err(CheckpointError::MissingHeader {
-            path: path.to_path_buf(),
-        });
     }
     Ok(loaded)
 }
@@ -717,6 +709,178 @@ fn check_header(got: &CheckpointMeta, expected: &CheckpointMeta) -> Result<(), C
         );
     }
     Ok(())
+}
+
+// ---------------------------------------------------------------------------
+// The checkpointed sweep
+// ---------------------------------------------------------------------------
+
+/// One `(model override, seed)` sweep job, as the serial and parallel
+/// executors speak it.
+type Job = (Option<LinkRateModel>, u64);
+
+/// The identity of one sweep: everything that determines the merged
+/// bytes — scenario spec, allocator identity, audit switch, and the exact
+/// job list. Binds checkpoints to their sweep so a file can never resume a
+/// different experiment.
+fn sweep_identity(scenario: &Scenario, jobs: &[Job]) -> u64 {
+    let mut h = Fnv1a::new();
+    h.write(scenario.label.as_bytes());
+    h.write(scenario.allocator.name().as_bytes());
+    let sig = scenario
+        .allocator
+        .cache_signature()
+        .unwrap_or_else(|| "<opaque>".to_string());
+    h.write(sig.as_bytes());
+    h.write_u64(u64::from(scenario.check_properties));
+    match &scenario.source {
+        NetworkSource::Fixed(net) => {
+            h.write(b"fixed");
+            h.write_u64(net.session_count() as u64);
+        }
+        NetworkSource::Random {
+            family,
+            nodes,
+            sessions,
+            max_receivers,
+        } => {
+            h.write(b"random");
+            h.write(family.label().as_bytes());
+            h.write_u64(*nodes as u64);
+            h.write_u64(*sessions as u64);
+            h.write_u64(*max_receivers as u64);
+        }
+    }
+    match &scenario.link_rates {
+        LinkRates::Efficient => h.write(b"eff"),
+        LinkRates::Uniform(m) => {
+            h.write(b"uniform");
+            let (tag, bits) = model_code(Some(*m));
+            h.write(&[tag]);
+            h.write_u64(bits);
+        }
+        LinkRates::Explicit(cfg) => {
+            h.write(b"explicit");
+            for i in 0..cfg.len() {
+                let (tag, bits) = model_code(Some(*cfg.model(i)));
+                h.write(&[tag]);
+                h.write_u64(bits);
+            }
+        }
+    }
+    h.write_u64(jobs.len() as u64);
+    for &(model, seed) in jobs {
+        let (tag, bits) = model_code(model);
+        h.write(&[tag]);
+        h.write_u64(bits);
+        h.write_u64(seed);
+    }
+    h.finish()
+}
+
+impl Scenario {
+    /// [`Scenario::sweep_par`] with an append-only checkpoint at `path`.
+    ///
+    /// When `path` exists, its intact shards are restored instead of
+    /// recomputed (after the staleness check); otherwise it is created.
+    /// Every shard computed by this call is durably appended before the
+    /// merge. Returns the report — bitwise identical to
+    /// [`Scenario::sweep`] over the same seeds — and the number of shards
+    /// restored from the file. The report's cache counters are the
+    /// workers', as in [`Scenario::sweep_par`]. See the
+    /// [module docs](crate::checkpoint).
+    pub fn sweep_par_checkpointed<I: IntoIterator<Item = u64>>(
+        &self,
+        seeds: I,
+        threads: usize,
+        path: &Path,
+    ) -> Result<(SweepReport, u64), CheckpointError> {
+        let jobs: Vec<Job> = seeds.into_iter().map(|s| (None, s)).collect();
+        let shards: Vec<&[Job]> = jobs.chunks(SHARD_SIZE).collect();
+        let meta = CheckpointMeta {
+            sweep: sweep_identity(self, &jobs),
+            shards: shards.len() as u64,
+            shard_size: SHARD_SIZE as u64,
+        };
+        let mut done: Vec<Option<Vec<SweepPoint>>> = vec![None; shards.len()];
+        let writer = if path.exists() {
+            let mut loaded = load_checkpoint(path, &meta)?;
+            for rec in std::mem::take(&mut loaded.shards) {
+                let i = rec.shard as usize;
+                let start = (i * SHARD_SIZE) as u64;
+                if rec.start != start || rec.points.len() != shards[i].len() {
+                    return Err(CheckpointError::Corrupt {
+                        line: 0,
+                        reason: format!(
+                            "shard {i} geometry disagrees with the sweep \
+                             (start {} len {}, expected start {start} len {})",
+                            rec.start,
+                            rec.points.len(),
+                            shards[i].len()
+                        ),
+                    });
+                }
+                done[i] = Some(rec.points);
+            }
+            self.check_not_stale(&shards, &done)?;
+            CheckpointWriter::resume(path, &meta, &loaded)?
+        } else {
+            CheckpointWriter::create(path, &meta)?
+        };
+        let restored = done.iter().flatten().count() as u64;
+        let open: Vec<usize> = (0..shards.len()).filter(|&i| done[i].is_none()).collect();
+        let writer = Mutex::new(writer);
+        let (computed, cache) = self.run_jobs_par(&open, threads, |ws, mut cache, &i| {
+            let points: Vec<SweepPoint> = shards[i]
+                .iter()
+                .map(|&(model, seed)| self.sweep_point_with(seed, model, ws, cache.as_deref_mut()))
+                .collect();
+            let start = (i * SHARD_SIZE) as u64;
+            let rec = ShardRecord {
+                shard: i as u64,
+                start,
+                hash: shard_content_hash(i as u64, start, &points),
+                points,
+            };
+            writer
+                .lock()
+                .unwrap_or_else(PoisonError::into_inner)
+                .append_shard(&rec)?;
+            Ok(rec.points)
+        });
+        for (i, points) in open.into_iter().zip(computed) {
+            done[i] = Some(points?);
+        }
+        let report = SweepReport {
+            label: self.label.clone(),
+            points: done.into_iter().flatten().flatten().collect(),
+            cache,
+        };
+        Ok((report, restored))
+    }
+
+    /// The resume-time staleness check (see the module docs): re-solve the
+    /// first job of the lowest-index restored shard on a fresh workspace
+    /// without a cache, and require the restored point's exact bits.
+    fn check_not_stale(
+        &self,
+        shards: &[&[Job]],
+        done: &[Option<Vec<SweepPoint>>],
+    ) -> Result<(), CheckpointError> {
+        let Some((i, restored)) = done
+            .iter()
+            .enumerate()
+            .find_map(|(i, d)| Some((i, d.as_ref()?)))
+        else {
+            return Ok(());
+        };
+        let (model, seed) = shards[i][0];
+        let fresh = self.sweep_point_with(seed, model, &mut SolverWorkspace::new(), None);
+        if encode_point(&fresh) != encode_point(&restored[0]) {
+            return Err(CheckpointError::Stale { shard: i as u64 });
+        }
+        Ok(())
+    }
 }
 
 #[cfg(test)]
@@ -785,7 +949,7 @@ mod tests {
         for r in &recs {
             w.append_shard(r).unwrap();
         }
-        let loaded = load_checkpoint(&path, &meta, TailPolicy::Strict).unwrap();
+        let loaded = load_checkpoint(&path, &meta).unwrap();
         assert_eq!(loaded.shards.len(), 2);
         assert!(!loaded.dropped_tail);
         for (a, b) in loaded.shards.iter().zip(&recs) {
@@ -801,7 +965,7 @@ mod tests {
             ..meta
         };
         assert!(matches!(
-            load_checkpoint(&path, &other, TailPolicy::Strict),
+            load_checkpoint(&path, &other),
             Err(CheckpointError::HeaderMismatch { field: "sweep", .. })
         ));
         std::fs::remove_file(&path).unwrap();
@@ -828,29 +992,86 @@ mod tests {
         w.append_shard(&rec).unwrap();
         let intact = std::fs::read(&path).unwrap();
 
-        // Torn tail: drop the trailing newline and a few bytes.
+        // Torn tail: drop the trailing newline and a few bytes. The header
+        // survives; the torn shard line is dropped.
         std::fs::write(&path, &intact[..intact.len() - 5]).unwrap();
-        assert!(matches!(
-            load_checkpoint(&path, &meta, TailPolicy::Strict),
-            Err(CheckpointError::TruncatedTail { line: 2 })
-        ));
-        let rec_loaded = load_checkpoint(&path, &meta, TailPolicy::Recover).unwrap();
-        assert!(rec_loaded.dropped_tail);
-        assert_eq!(rec_loaded.shards.len(), 0);
-        assert!(rec_loaded.has_header);
+        let torn = load_checkpoint(&path, &meta).unwrap();
+        assert!(torn.dropped_tail);
+        assert_eq!(torn.shards.len(), 0);
+        assert!(torn.has_header);
 
-        // Terminated but bit-flipped line: hard error under BOTH policies —
-        // never merged.
+        // Terminated but bit-flipped line: a hard error, never merged.
         let mut flipped = intact.clone();
         let mid = flipped.len() - 20;
         flipped[mid] ^= 0x01;
         std::fs::write(&path, &flipped).unwrap();
-        for policy in [TailPolicy::Strict, TailPolicy::Recover] {
-            assert!(matches!(
-                load_checkpoint(&path, &meta, policy),
-                Err(CheckpointError::Corrupt { line: 2, .. })
-            ));
-        }
+        assert!(matches!(
+            load_checkpoint(&path, &meta),
+            Err(CheckpointError::Corrupt { line: 2, .. })
+        ));
+
+        // A zero-byte file is the empty valid prefix, not an error.
+        std::fs::write(&path, b"").unwrap();
+        let empty = load_checkpoint(&path, &meta).unwrap();
+        assert!(!empty.has_header && !empty.dropped_tail);
+        assert_eq!(empty.valid_len, 0);
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    #[test]
+    fn a_validly_sealed_but_doctored_point_is_refused_as_stale() {
+        use mlf_core::allocator::MultiRate;
+        let path =
+            std::env::temp_dir().join(format!("mlf-ckpt-stale-{}.jsonl", std::process::id()));
+        let _ = std::fs::remove_file(&path);
+        let scenario = Scenario::builder()
+            .label("stale")
+            .random_networks(12, 3, 3)
+            .allocator(MultiRate::new())
+            .build()
+            .unwrap();
+        let seeds = 0..(2 * SHARD_SIZE as u64);
+        let (full, restored) = scenario
+            .sweep_par_checkpointed(seeds.clone(), 1, &path)
+            .unwrap();
+        assert_eq!(restored, 0);
+        // Rewrite shard 0 with one doctored point, sealed and hashed
+        // exactly as a build that computes other bits would write it.
+        let mut points = full.points[..SHARD_SIZE].to_vec();
+        points[0].metrics.jain_index = f64::from_bits(points[0].metrics.jain_index.to_bits() ^ 1);
+        let rec = ShardRecord {
+            shard: 0,
+            start: 0,
+            hash: shard_content_hash(0, 0, &points),
+            points,
+        };
+        let text = std::fs::read_to_string(&path).unwrap();
+        let lines: Vec<String> = text
+            .lines()
+            .map(|l| {
+                if l.starts_with("{\"shard\":0,") {
+                    shard_line(&rec)
+                } else {
+                    l.to_string()
+                }
+            })
+            .collect();
+        std::fs::write(&path, lines.join("\n") + "\n").unwrap();
+        // Every line still verifies on load...
+        let meta = CheckpointMeta {
+            sweep: sweep_identity(
+                &scenario,
+                &seeds.clone().map(|s| (None, s)).collect::<Vec<_>>(),
+            ),
+            shards: 2,
+            shard_size: SHARD_SIZE as u64,
+        };
+        assert_eq!(load_checkpoint(&path, &meta).unwrap().shards.len(), 2);
+        // ...but the resume refuses to merge the doctored shard.
+        assert_eq!(
+            scenario.sweep_par_checkpointed(seeds, 1, &path),
+            Err(CheckpointError::Stale { shard: 0 })
+        );
         std::fs::remove_file(&path).unwrap();
     }
 }

@@ -1,14 +1,14 @@
 //! FNV-1a 64-bit hashing — the content-hash primitive shared by the
-//! coordinator's shard verification, the checkpoint file's line checksums,
+//! checkpoint file's shard hashes and line checksums, its sweep identity,
 //! and the solve cache's scenario-identity component.
 //!
 //! FNV-1a is deliberately simple: a fixed offset basis folded with a fixed
 //! prime, byte by byte, with no seeds and no platform dependence — the same
-//! bytes hash to the same value on every machine, which is exactly the
-//! property a cross-worker content audit needs. It is *not* adversarial
-//! collision resistance; the coordinator's threat model is lost and
-//! corrupted bytes (crashes, truncation, transport bugs), not a malicious
-//! worker forging preimages.
+//! bytes hash to the same value on every machine and in every build, which
+//! is exactly the property a file written by one run and read by another
+//! needs. It is *not* adversarial collision resistance; the threat model is
+//! lost and corrupted bytes (crashes, truncation, disk faults), not a
+//! forger.
 
 /// Streaming FNV-1a 64 hasher.
 #[derive(Debug, Clone, Copy)]

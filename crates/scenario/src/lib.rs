@@ -36,15 +36,13 @@
 //! treatment as allocator sweeps. See the [`executor`] module docs for the
 //! exact determinism contract.
 //!
-//! ## Fault-tolerant coordination
+//! ## Checkpointed sweeps
 //!
-//! [`Scenario::coordinate`] and [`Scenario::coordinate_grid`] run the same
-//! jobs on the [`coordinator`]: a fleet of scoped worker threads that
-//! hash-verifies (and optionally spot-checks) every shard, retries lost or
-//! corrupt shards, falls back to a serial pass when every worker is lost,
-//! and can stream accepted shards to a [`checkpoint`] file to resume a
-//! killed sweep. The merged report is bitwise identical to
-//! [`Scenario::sweep`].
+//! [`Scenario::sweep_par_checkpointed`] is [`Scenario::sweep_par`] plus an
+//! append-only [`checkpoint`] file: every finished shard of jobs is synced
+//! to disk as one verified line, and a re-run with the same path computes
+//! only the shards the file lacks. The merged report is bitwise identical
+//! to [`Scenario::sweep`].
 //!
 //! ## Topology families
 //!
@@ -110,17 +108,12 @@
 
 pub mod cache;
 pub mod checkpoint;
-pub mod coordinator;
 pub mod executor;
 mod hash;
 pub mod protocol;
 
 pub use cache::{CacheStats, SharedSolveCache, SolveCache};
 pub use checkpoint::CheckpointError;
-pub use coordinator::{
-    CoordinatorConfig, CoordinatorError, CoordinatorReport, CoordinatorStats, FaultEvent,
-    FaultKind, FaultPlan,
-};
 pub use protocol::ProtocolScenarioError;
 pub use protocol::{
     ProtocolScenario, ProtocolScenarioBuilder, ProtocolSweepGrid, ProtocolSweepPoint,
@@ -769,12 +762,7 @@ impl Scenario {
     pub fn sweep_par<I: IntoIterator<Item = u64>>(&self, seeds: I, threads: usize) -> SweepReport {
         let jobs: Vec<(Option<LinkRateModel>, u64)> =
             seeds.into_iter().map(|s| (None, s)).collect();
-        let (points, cache) = self.run_jobs_par(&jobs, threads);
-        SweepReport {
-            label: self.label.clone(),
-            points,
-            cache,
-        }
+        self.sweep_jobs_par(&jobs, threads)
     }
 
     /// [`Scenario::sweep_grid`], sharded across `threads` scoped worker
@@ -782,7 +770,13 @@ impl Scenario {
     /// bits match the serial executor exactly.
     pub fn sweep_grid_par(&self, grid: &SweepGrid, threads: usize) -> SweepReport {
         self.check_grid(grid);
-        let (points, cache) = self.run_jobs_par(&Self::grid_jobs(grid), threads);
+        self.sweep_jobs_par(&Self::grid_jobs(grid), threads)
+    }
+
+    fn sweep_jobs_par(&self, jobs: &[(Option<LinkRateModel>, u64)], threads: usize) -> SweepReport {
+        let (points, cache) = self.run_jobs_par(jobs, threads, |ws, cache, &(model, seed)| {
+            self.sweep_point_with(seed, model, ws, cache)
+        });
         SweepReport {
             label: self.label.clone(),
             points,
@@ -795,24 +789,23 @@ impl Scenario {
     /// shards, one `(SolverWorkspace, SolveCache)` per worker, outputs
     /// merged back in job order, worker cache counters summed in shard
     /// order.
-    fn run_jobs_par(
+    fn run_jobs_par<J: Sync, O: Send>(
         &self,
-        jobs: &[(Option<LinkRateModel>, u64)],
+        jobs: &[J],
         threads: usize,
-    ) -> (Vec<SweepPoint>, CacheStats) {
-        let (points, states) = executor::run_jobs_par_with_state(
+        solve: impl Fn(&mut SolverWorkspace, Option<&mut SolveCache>, &J) -> O + Sync,
+    ) -> (Vec<O>, CacheStats) {
+        let (outputs, states) = executor::run_jobs_par_with_state(
             jobs,
             threads,
             || (SolverWorkspace::new(), self.worker_cache()),
-            |(ws, cache), &(model, seed)| self.sweep_point_with(seed, model, ws, cache.as_mut()),
+            |(ws, cache), job| solve(ws, cache.as_mut(), job),
         );
         let mut stats = CacheStats::default();
-        for (_, cache) in &states {
-            if let Some(cache) = cache {
-                stats.merge(&cache.stats());
-            }
+        for cache in states.iter().filter_map(|(_, cache)| cache.as_ref()) {
+            stats.merge(&cache.stats());
         }
-        (points, stats)
+        (outputs, stats)
     }
 
     /// The lifetime counters of the scenario's own (serial-sweep) cache.

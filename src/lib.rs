@@ -69,15 +69,6 @@
 //! assert!(multi.allocation.min_rate() >= declared.allocation.min_rate());
 //! ```
 //!
-//! ## Migration note (0.2)
-//!
-//! The old free functions — `max_min_allocation`,
-//! `max_min_allocation_with`, `multi_rate_max_min`, `single_rate_max_min`,
-//! `weighted_max_min`, `unicast_max_min` — are now thin `#[deprecated]`
-//! shims delegating to the `Allocator` implementations, kept so downstream
-//! code compiles unchanged. Migrate call sites to
-//! [`mlf_core::allocator`] or [`mlf_scenario::Scenario`].
-//!
 //! ## Determinism contract
 //!
 //! Every result this workspace produces is a pure function of explicit

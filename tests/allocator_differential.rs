@@ -1,22 +1,14 @@
 //! Differential coverage for the unified `Allocator` API: on every paper
 //! figure network, each `Allocator` implementation must produce
-//! **bitwise-identical** allocations to the legacy free function it
-//! replaces, workspace reuse must be transparent, and `Scenario::sweep`
-//! must be deterministic under a fixed seed.
-//!
-//! The legacy functions are deprecated shims, so this file is the one place
-//! that still calls them — deliberately.
-
-#![allow(deprecated)]
+//! **bitwise-identical** allocations to the frozen legacy solver it
+//! replaced (`mlf_core::reference`), workspace reuse must be transparent,
+//! and `Scenario::sweep` must be deterministic under a fixed seed.
 
 use mlf_core::allocator::{
     Allocator, Hybrid, MultiRate, SingleRate, SolverWorkspace, Unicast, Weighted,
 };
-use mlf_core::{
-    max_min_allocation, max_min_allocation_with, multi_rate_max_min, single_rate_max_min,
-    unicast::unicast_max_min, weighted::weighted_max_min, LinkRateConfig, LinkRateModel, Weights,
-};
-use mlf_net::{paper, Network};
+use mlf_core::{reference, LinkRateConfig, LinkRateModel, Regimes, Weights};
+use mlf_net::{paper, Network, SessionType};
 use mlf_scenario::{Scenario, SweepGrid};
 
 /// Every paper figure network, by name: the differential corpus.
@@ -42,21 +34,32 @@ fn paper_networks() -> Vec<(&'static str, Network)> {
     ]
 }
 
-/// Exact (bitwise) equality of allocations — the shims delegate to the same
-/// engine, so not even the last ulp may differ.
+/// Exact (bitwise) equality of allocations: the optimized engines must
+/// reproduce the legacy scans to the last ulp.
 fn assert_bitwise(name: &str, legacy: &mlf_core::Allocation, new: &mlf_core::Allocation) {
+    let bits = |a: &mlf_core::Allocation| -> Vec<Vec<u64>> {
+        a.rates()
+            .iter()
+            .map(|s| s.iter().map(|r| r.to_bits()).collect())
+            .collect()
+    };
     assert_eq!(
-        legacy.rates(),
-        new.rates(),
+        bits(legacy),
+        bits(new),
         "{name}: legacy and trait allocations diverge"
     );
+}
+
+/// The efficient link-rate configuration of `net`.
+fn efficient(net: &Network) -> LinkRateConfig {
+    LinkRateConfig::efficient(net.session_count())
 }
 
 #[test]
 fn hybrid_matches_max_min_allocation_on_every_paper_network() {
     let mut ws = SolverWorkspace::new();
     for (name, net) in paper_networks() {
-        let legacy = max_min_allocation(&net);
+        let legacy = reference::solve(&net, &efficient(&net)).allocation;
         let new = Hybrid::as_declared().solve(&net, &mut ws).allocation;
         assert_bitwise(name, &legacy, &new);
     }
@@ -74,7 +77,7 @@ fn hybrid_with_config_matches_max_min_allocation_with() {
     for (name, net) in paper_networks() {
         for model in models {
             let cfg = LinkRateConfig::uniform(net.session_count(), model);
-            let legacy = max_min_allocation_with(&net, &cfg);
+            let legacy = reference::solve(&net, &cfg).allocation;
             let new = Hybrid::as_declared()
                 .with_config(cfg)
                 .solve(&net, &mut ws)
@@ -88,7 +91,12 @@ fn hybrid_with_config_matches_max_min_allocation_with() {
 fn multi_rate_matches_its_legacy_function() {
     let mut ws = SolverWorkspace::new();
     for (name, net) in paper_networks() {
-        let legacy = multi_rate_max_min(&net);
+        let legacy = reference::solve_in(
+            &net,
+            &efficient(&net),
+            &Regimes::Uniform(SessionType::MultiRate),
+        )
+        .allocation;
         let new = MultiRate::new().solve(&net, &mut ws).allocation;
         assert_bitwise(name, &legacy, &new);
     }
@@ -98,7 +106,12 @@ fn multi_rate_matches_its_legacy_function() {
 fn single_rate_matches_its_legacy_function() {
     let mut ws = SolverWorkspace::new();
     for (name, net) in paper_networks() {
-        let legacy = single_rate_max_min(&net);
+        let legacy = reference::solve_in(
+            &net,
+            &efficient(&net),
+            &Regimes::Uniform(SessionType::SingleRate),
+        )
+        .allocation;
         let new = SingleRate::new().solve(&net, &mut ws).allocation;
         assert_bitwise(name, &legacy, &new);
     }
@@ -124,7 +137,7 @@ fn weighted_matches_its_legacy_function_on_multi_rate_networks() {
                 })
                 .collect(),
         );
-        let legacy = weighted_max_min(&net, &weights);
+        let legacy = reference::weighted_solve(&net, &weights).allocation;
         let new = Weighted::new(weights).solve(&net, &mut ws).allocation;
         assert_bitwise(name, &legacy, &new);
     }
@@ -137,7 +150,7 @@ fn unicast_matches_its_legacy_function_on_unicast_networks() {
         if !net.sessions().iter().all(|s| s.is_unicast()) {
             continue; // single_link qualifies; the multicast figures don't
         }
-        let legacy = unicast_max_min(&net);
+        let legacy = reference::unicast_solve(&net).allocation;
         let new = Unicast::new().solve(&net, &mut ws).allocation;
         assert_bitwise(name, &legacy, &new);
     }
@@ -214,23 +227,4 @@ fn scenario_sweeps_are_deterministic_under_a_fixed_seed() {
     let g2 = fresh.sweep_grid(&grid);
     assert_eq!(g1, g2);
     assert_eq!(g1.points.len(), 18);
-}
-
-#[test]
-fn shims_and_trait_also_agree_on_random_networks() {
-    // Beyond the paper corpus: 25 random mixed networks.
-    let mut ws = SolverWorkspace::new();
-    for seed in 0..25u64 {
-        let net = mlf_net::topology::random_network(seed, 14, 5, 4).unwrap();
-        assert_bitwise(
-            &format!("random-{seed}"),
-            &max_min_allocation(&net),
-            &Hybrid::as_declared().solve(&net, &mut ws).allocation,
-        );
-        assert_bitwise(
-            &format!("random-{seed}/single"),
-            &single_rate_max_min(&net),
-            &SingleRate::new().solve(&net, &mut ws).allocation,
-        );
-    }
 }
