@@ -1,31 +1,24 @@
-//! Benchmarks the PR-4 tentpole: the incidence-indexed incremental solver
-//! core and the cross-sweep topology/solve cache, on solver-bound
-//! workloads — large GT-ITM-style transit–stub hierarchies and wide
-//! high-fanout k-ary trees, swept over a `seeds × link-rate models` grid.
+//! Benchmarks the incidence-indexed incremental solver core on
+//! solver-bound workloads — large GT-ITM-style transit–stub hierarchies and
+//! wide high-fanout k-ary trees, swept over a `seeds × link-rate models`
+//! grid.
 //!
-//! Three things are recorded:
+//! Two things are recorded:
 //!
-//! 1. **Correctness, always**: the warm-cache replay of the grid is
-//!    asserted bitwise identical to the cold sweep, and the parallel
-//!    executor (worker-local caches) to the serial one, before any timing
-//!    runs.
-//! 2. **Throughput artifact**: the *cold* grid sweep's points-per-second —
-//!    the number that tracks raw solver hot-path cost (topology build +
-//!    index build + progressive filling, no memo hits) — is written as
+//! 1. **Correctness, always**: the parallel grid sweep is asserted bitwise
+//!    identical to the serial one before any timing runs.
+//! 2. **Throughput artifact**: the grid sweep's points-per-second — the
+//!    number that tracks raw solver hot-path cost (topology build, index
+//!    build and progressive filling) — is written as
 //!    `BENCH_solver_hot_path.json` for the CI regression gate.
-//! 3. **Warm-cache speedup**: the same grid re-swept against the warm
-//!    scenario cache must run **≥ 2x** the cold throughput (the tentpole's
-//!    acceptance bar; in practice hits skip the solve entirely and the
-//!    ratio is far higher). Asserted, then printed.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use mlf_bench::or_exit;
-use mlf_bench::regression::{check_mode, measure_and_emit, time_best_of_three};
+use mlf_bench::regression::{check_mode, measure_and_emit};
 use mlf_core::allocator::MultiRate;
 use mlf_core::LinkRateModel;
 use mlf_net::TopologyFamily;
 use mlf_scenario::{Scenario, SweepGrid, SweepReport};
-use std::cell::RefCell;
 use std::hint::black_box;
 
 /// One solver-bound workload: a topology family at scale plus a model grid.
@@ -79,101 +72,56 @@ fn total_points(ws: &[Workload]) -> u64 {
         .sum()
 }
 
-/// Cold pass over every workload: fresh scenarios, empty caches.
-fn sweep_cold(ws: &[Workload]) -> Vec<SweepReport> {
+/// One pass over every workload, on fresh scenarios.
+fn sweep_fresh(ws: &[Workload]) -> Vec<SweepReport> {
     ws.iter()
         .map(|w| scenario_for(w).sweep_grid(&w.grid))
         .collect()
 }
 
-fn assert_cache_and_parallel_agreement(ws: &[Workload]) {
+fn assert_parallel_agreement(ws: &[Workload]) {
     for w in ws {
         let mut scenario = scenario_for(w);
-        let cold = scenario.sweep_grid(&w.grid);
-        assert_eq!(cold.cache.hits, 0, "{}: cold sweep must not hit", w.label);
-        let warm = scenario.sweep_grid(&w.grid);
-        assert_eq!(cold, warm, "{}: warm replay diverged from cold", w.label);
-        assert_eq!(
-            warm.cache.misses, 0,
-            "{}: warm sweep must not miss",
-            w.label
-        );
+        let serial = scenario.sweep_grid(&w.grid);
         for threads in [2usize, 4] {
             let par = scenario.sweep_grid_par(&w.grid, threads);
             assert_eq!(
-                cold, par,
+                serial, par,
                 "{}: parallel diverged at {threads} threads",
                 w.label
             );
         }
     }
     println!(
-        "determinism: warm-cache and parallel grid sweeps bitwise-identical to cold/serial \
-         across {} workloads",
+        "determinism: parallel grid sweeps bitwise-identical to serial across {} workloads",
         ws.len()
     );
 }
 
 fn bench_solver_hot_path(c: &mut Criterion) {
     let ws = workloads();
-    assert_cache_and_parallel_agreement(&ws);
+    assert_parallel_agreement(&ws);
     let points = total_points(&ws);
 
-    // Cold throughput: the gated number. Fresh scenario per pass, so every
-    // point pays topology build + index build + solve.
-    let cold = or_exit(measure_and_emit(
+    // The gated number. Fresh scenario per pass, so every point pays
+    // topology build + index build + solve.
+    or_exit(measure_and_emit(
         "solver_hot_path",
         points,
         "points",
-        || sweep_cold(&ws).iter().map(|r| r.points.len()).sum(),
+        || sweep_fresh(&ws).iter().map(|r| r.points.len()).sum(),
     ));
-    let cold_pps = points as f64 / cold.as_secs_f64();
-
-    // Warm throughput: the same grids against scenarios whose caches
-    // already hold every point.
-    let warmed: Vec<RefCell<Scenario>> = ws
-        .iter()
-        .map(|w| {
-            let mut s = scenario_for(w);
-            let _ = s.sweep_grid(&w.grid);
-            RefCell::new(s)
-        })
-        .collect();
-    let warm = time_best_of_three(|| {
-        ws.iter()
-            .zip(&warmed)
-            .map(|(w, s)| s.borrow_mut().sweep_grid(&w.grid).points.len())
-            .sum()
-    });
-    let warm_pps = points as f64 / warm.as_secs_f64();
-    let speedup = warm_pps / cold_pps;
-    println!(
-        "warm-cache sweep: {warm_pps:.1} points/s vs cold {cold_pps:.1} points/s \
-         ({speedup:.1}x; cold {cold:?}, warm {warm:?} over {points} points)"
-    );
-    assert!(
-        speedup >= 2.0,
-        "warm-cache grid sweep must be >= 2x the cold path, got {speedup:.2}x"
-    );
 
     if check_mode() {
         println!("MLF_BENCH_CHECK=1: skipping criterion sampling");
         return;
     }
 
-    // Criterion samples on the first workload only, cold vs warm.
+    // Criterion samples on the first workload only.
     let w = &ws[0];
     let mut group = c.benchmark_group("solver/hot_path_grid");
     group.bench_function("cold", |b| {
         b.iter(|| black_box(scenario_for(w).sweep_grid(&w.grid).points.len()))
-    });
-    let warm_scenario = RefCell::new({
-        let mut s = scenario_for(w);
-        let _ = s.sweep_grid(&w.grid);
-        s
-    });
-    group.bench_function("warm", |b| {
-        b.iter(|| black_box(warm_scenario.borrow_mut().sweep_grid(&w.grid).points.len()))
     });
     group.finish();
 }

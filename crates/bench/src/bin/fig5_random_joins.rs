@@ -67,6 +67,10 @@ fn main() {
     let sweep_seeds: u64 = or_exit(args.get("sweep-seeds", 64));
     let threads: usize = or_exit(args.get("threads", 0));
     let checkpoint: String = or_exit(args.get("checkpoint", String::new()));
+    if sweep_seeds == 0 {
+        eprintln!("error: --sweep-seeds must be at least 1");
+        std::process::exit(2);
+    }
 
     // Log-spaced x-axis like the paper's log plot.
     let mut xs = vec![1usize, 2, 3, 4, 5, 7, 10, 14, 20, 30, 50, 70];
@@ -145,7 +149,6 @@ fn main() {
         "mean min rate",
         "mean satisfaction",
         "all-props rate",
-        "cache h/m/e",
     ]);
     if !checkpoint.is_empty() {
         // The writer creates the file, not its directory.
@@ -182,10 +185,6 @@ fn main() {
             format!("{:.4}", report.mean_min_rate()),
             format!("{:.4}", report.mean_of(|p| p.metrics.satisfaction)),
             format!("{:.3}", report.all_properties_rate()),
-            format!(
-                "{}/{}/{}",
-                report.cache.hits, report.cache.misses, report.cache.evictions
-            ),
         ]);
     }
     print!("{sweep_table}");
@@ -196,9 +195,4 @@ fn main() {
     for (family, restored) in &restored_shards {
         println!("checkpoint [{family}]: {restored}/{shards} shards restored");
     }
-    println!(
-        "\n(cache h/m/e: sweep solve-cache hits/misses/evictions — every (seed, model) cell \
-         is unique in a one-shot sweep, so cold sweeps report all misses; warm re-sweeps and \
-         model grids report hits where cells repeat)"
-    );
 }

@@ -319,12 +319,12 @@ pub trait Allocator: Send + Sync {
     /// configuration, with float parameters spelled as exact bit patterns.
     ///
     /// Two allocators with equal signatures produce bitwise-equal
-    /// solutions for the same network and link-rate inputs, which is what
-    /// lets scenarios that differ only in *reporting* (label, layering
-    /// ladder) share one solve cache. Return `None` when the identity is
-    /// not cheaply representable (e.g. explicit per-receiver weights) —
-    /// shared caches then simply bypass memoization for that scenario
-    /// rather than risk serving another configuration's bits.
+    /// solutions for the same network and link-rate inputs. Its one
+    /// consumer is `mlf_scenario`'s `sweep_identity`, which folds it into
+    /// the digest that binds a sweep checkpoint to its sweep. Return `None`
+    /// when the identity is not cheaply representable (e.g. explicit
+    /// per-receiver weights); the digest then records the allocator as
+    /// opaque.
     fn cache_signature(&self) -> Option<String> {
         None
     }
@@ -617,8 +617,8 @@ impl Allocator for Weighted {
     }
 
     /// Uniform weights have a stable identity; explicit per-receiver
-    /// weights are deliberately unrepresentable (`None`), so shared caches
-    /// bypass rather than fingerprint a large float matrix.
+    /// weights are deliberately unrepresentable (`None`) rather than
+    /// fingerprinting a large float matrix.
     fn cache_signature(&self) -> Option<String> {
         match &self.weights {
             WeightSpec::Uniform => Some("weighted@uniform".to_string()),

@@ -1,16 +1,15 @@
 //! Checkpointed sweeps: [`Scenario::sweep_par_checkpointed`] is
 //! [`Scenario::sweep_par`] plus an append-only file.
 //!
-//! The job list is cut into fixed shards of [`SHARD_SIZE`] jobs. The open
-//! shards run through [`crate::executor::run_jobs_par_with_state`] with
-//! the same worker state as [`Scenario::sweep_par`], and each shard
-//! appends one sealed, fsynced line to the file before it returns its
-//! points. The file is therefore always a valid checkpoint of every shard
+//! The seed list is cut into fixed shards of [`SHARD_SIZE`] seeds. The
+//! open shards run through [`crate::executor::run_jobs_par`] with the same
+//! per-seed job and worker workspace as [`Scenario::sweep_par`], and each
+//! shard appends one sealed, fsynced line to the file before it returns
+//! its points. The file is therefore always a valid checkpoint of every shard
 //! finished so far. A re-run with the same path loads the file, computes
 //! only the missing shards, and merges all shards in shard order. The report is **bitwise
 //! identical** to [`Scenario::sweep`] however often the process died on the
-//! way, because every sweep point is a pure function of its
-//! `(model, seed)` job.
+//! way, because every sweep point is a pure function of its seed.
 //!
 //! # Format
 //!
@@ -54,11 +53,12 @@
 //! produces from them: a file written by a build whose solver rounds
 //! differently, or for a different fixed network with the same session
 //! count, would pass every check above. So a resume solves the first job
-//! of the lowest-index restored shard again (fresh workspace, no cache)
-//! and compares it bitwise with the restored point; a mismatch is
+//! of the lowest-index restored shard again (on a fresh workspace) and
+//! compares it bitwise with the restored point; a mismatch is
 //! [`CheckpointError::Stale`]. Agreement between the threads of one build
 //! is pinned separately by the serial ≡ parallel differentials.
 
+use crate::executor;
 use crate::hash::{fnv1a, Fnv1a};
 use crate::{LinkRates, NetworkSource, Scenario, ScenarioMetrics, SweepPoint, SweepReport};
 use mlf_core::allocator::SolverWorkspace;
@@ -715,15 +715,13 @@ fn check_header(got: &CheckpointMeta, expected: &CheckpointMeta) -> Result<(), C
 // The checkpointed sweep
 // ---------------------------------------------------------------------------
 
-/// One `(model override, seed)` sweep job, as the serial and parallel
-/// executors speak it.
-type Job = (Option<LinkRateModel>, u64);
-
 /// The identity of one sweep: everything that determines the merged
 /// bytes — scenario spec, allocator identity, audit switch, and the exact
-/// job list. Binds checkpoints to their sweep so a file can never resume a
-/// different experiment.
-fn sweep_identity(scenario: &Scenario, jobs: &[Job]) -> u64 {
+/// seed list. Binds checkpoints to their sweep so a file can never resume a
+/// different experiment. Each seed is hashed as a `(None, seed)` job, the
+/// encoding existing checkpoint files were written with, so they keep
+/// resuming.
+fn sweep_identity(scenario: &Scenario, seeds: &[u64]) -> u64 {
     let mut h = Fnv1a::new();
     h.write(scenario.label.as_bytes());
     h.write(scenario.allocator.name().as_bytes());
@@ -768,9 +766,9 @@ fn sweep_identity(scenario: &Scenario, jobs: &[Job]) -> u64 {
             }
         }
     }
-    h.write_u64(jobs.len() as u64);
-    for &(model, seed) in jobs {
-        let (tag, bits) = model_code(model);
+    h.write_u64(seeds.len() as u64);
+    let (tag, bits) = model_code(None);
+    for &seed in seeds {
         h.write(&[tag]);
         h.write_u64(bits);
         h.write_u64(seed);
@@ -786,8 +784,8 @@ impl Scenario {
     /// Every shard computed by this call is durably appended before the
     /// merge. Returns the report — bitwise identical to
     /// [`Scenario::sweep`] over the same seeds — and the number of shards
-    /// restored from the file. The report's cache counters are the
-    /// workers', as in [`Scenario::sweep_par`]. See the
+    /// restored from the file. The report's [`CacheStats`](crate::CacheStats)
+    /// count only the seeds this call computed. See the
     /// [module docs](crate::checkpoint).
     pub fn sweep_par_checkpointed<I: IntoIterator<Item = u64>>(
         &self,
@@ -795,10 +793,10 @@ impl Scenario {
         threads: usize,
         path: &Path,
     ) -> Result<(SweepReport, u64), CheckpointError> {
-        let jobs: Vec<Job> = seeds.into_iter().map(|s| (None, s)).collect();
-        let shards: Vec<&[Job]> = jobs.chunks(SHARD_SIZE).collect();
+        let seeds: Vec<u64> = seeds.into_iter().collect();
+        let shards: Vec<&[u64]> = seeds.chunks(SHARD_SIZE).collect();
         let meta = CheckpointMeta {
-            sweep: sweep_identity(self, &jobs),
+            sweep: sweep_identity(self, &seeds),
             shards: shards.len() as u64,
             shard_size: SHARD_SIZE as u64,
         };
@@ -829,11 +827,12 @@ impl Scenario {
         };
         let restored = done.iter().flatten().count() as u64;
         let open: Vec<usize> = (0..shards.len()).filter(|&i| done[i].is_none()).collect();
+        let cache = self.topology_counts(open.iter().map(|&i| shards[i].len()).sum(), 1);
         let writer = Mutex::new(writer);
-        let (computed, cache) = self.run_jobs_par(&open, threads, |ws, mut cache, &i| {
+        let computed = executor::run_jobs_par(&open, threads, SolverWorkspace::new, |ws, &i| {
             let points: Vec<SweepPoint> = shards[i]
                 .iter()
-                .map(|&(model, seed)| self.sweep_point_with(seed, model, ws, cache.as_deref_mut()))
+                .flat_map(|&seed| self.seed_points(seed, &[None], ws))
                 .collect();
             let start = (i * SHARD_SIZE) as u64;
             let rec = ShardRecord {
@@ -860,11 +859,11 @@ impl Scenario {
     }
 
     /// The resume-time staleness check (see the module docs): re-solve the
-    /// first job of the lowest-index restored shard on a fresh workspace
-    /// without a cache, and require the restored point's exact bits.
+    /// first seed of the lowest-index restored shard on a fresh workspace,
+    /// and require the restored point's exact bits.
     fn check_not_stale(
         &self,
-        shards: &[&[Job]],
+        shards: &[&[u64]],
         done: &[Option<Vec<SweepPoint>>],
     ) -> Result<(), CheckpointError> {
         let Some((i, restored)) = done
@@ -874,9 +873,8 @@ impl Scenario {
         else {
             return Ok(());
         };
-        let (model, seed) = shards[i][0];
-        let fresh = self.sweep_point_with(seed, model, &mut SolverWorkspace::new(), None);
-        if encode_point(&fresh) != encode_point(&restored[0]) {
+        let fresh = self.seed_points(shards[i][0], &[None], &mut SolverWorkspace::new());
+        if encode_point(&fresh[0]) != encode_point(&restored[0]) {
             return Err(CheckpointError::Stale { shard: i as u64 });
         }
         Ok(())
@@ -1059,10 +1057,7 @@ mod tests {
         std::fs::write(&path, lines.join("\n") + "\n").unwrap();
         // Every line still verifies on load...
         let meta = CheckpointMeta {
-            sweep: sweep_identity(
-                &scenario,
-                &seeds.clone().map(|s| (None, s)).collect::<Vec<_>>(),
-            ),
+            sweep: sweep_identity(&scenario, &seeds.clone().collect::<Vec<_>>()),
             shards: 2,
             shard_size: SHARD_SIZE as u64,
         };

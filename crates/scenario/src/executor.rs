@@ -1,12 +1,11 @@
 //! The deterministic parallel job executor shared by every sweep in the
 //! workspace.
 //!
-//! [`run_jobs_par`] is the shard/merge machinery that PR 2 built inside
-//! `Scenario::sweep_par`, extracted so any job type can ride it: allocator
-//! sweeps shard `(model, seed)` jobs over per-thread [`SolverWorkspace`]s,
-//! protocol sweeps shard `(protocol, loss, seed)` jobs with stateless
-//! workers, and future engines (packet-level batches, cross-machine shards)
-//! can reuse the same contract.
+//! [`run_jobs_par`] is the one shard/merge entry point, generic over the
+//! job type: allocator sweeps shard seed jobs over per-thread
+//! [`SolverWorkspace`]s, checkpointed sweeps shard whole checkpoint shards
+//! the same way, and protocol sweeps shard `(protocol, loss, seed)` jobs
+//! with stateless workers.
 //!
 //! ## The determinism contract
 //!
@@ -20,7 +19,7 @@
 //! 2. **Worker-local state.** Each worker calls `init()` exactly once and
 //!    threads the resulting state through its shard in order. State never
 //!    crosses shards, so `solve` may mutate it freely (scratch buffers,
-//!    RNGs re-seeded per job, caches) without affecting other shards.
+//!    RNGs re-seeded per job) without affecting other shards.
 //! 3. **In-order merge.** Shard outputs are concatenated in shard order, so
 //!    the output vector is index-for-index the same as the serial loop
 //!    `jobs.iter().map(|j| solve(&mut init(), j))` *provided* `solve`'s
@@ -62,33 +61,6 @@ pub fn run_jobs_par<J, O, S, Init, Solve>(
 where
     J: Sync,
     O: Send,
-    S: Send,
-    Init: Fn() -> S + Sync,
-    Solve: Fn(&mut S, &J) -> O + Sync,
-{
-    run_jobs_par_with_state(jobs, threads, init, solve).0
-}
-
-/// [`run_jobs_par`], additionally returning every worker's final state in
-/// shard order.
-///
-/// Worker state is scratch as far as the outputs are concerned (the
-/// determinism contract is unchanged), but it can carry *telemetry* —
-/// cache hit counters, solve counts — that the caller wants to aggregate
-/// after the sweep. Shard order is deterministic (the balanced contiguous
-/// partition depends only on `jobs.len()` and `threads`), so summing
-/// per-worker counters is reproducible too.
-// mlf-lint: allow(unused-pub, reason = "documented public API; doc examples and links are invisible to the analyzer")
-pub fn run_jobs_par_with_state<J, O, S, Init, Solve>(
-    jobs: &[J],
-    threads: usize,
-    init: Init,
-    solve: Solve,
-) -> (Vec<O>, Vec<S>)
-where
-    J: Sync,
-    O: Send,
-    S: Send,
     Init: Fn() -> S + Sync,
     Solve: Fn(&mut S, &J) -> O + Sync,
 {
@@ -100,14 +72,12 @@ where
         threads
     };
     let threads = threads.clamp(1, jobs.len().max(1));
-    let solve_shard = |shard: &[J]| -> (Vec<O>, S) {
+    let solve_shard = |shard: &[J]| -> Vec<O> {
         let mut state = init();
-        let outputs = shard.iter().map(|job| solve(&mut state, job)).collect();
-        (outputs, state)
+        shard.iter().map(|job| solve(&mut state, job)).collect()
     };
     if threads == 1 {
-        let (outputs, state) = solve_shard(jobs);
-        return (outputs, vec![state]);
+        return solve_shard(jobs);
     }
     // Balanced partition: the first `jobs % threads` shards take one extra
     // job, so every requested worker gets work (a plain `chunks(div_ceil)`
@@ -116,7 +86,6 @@ where
     let base = jobs.len() / threads;
     let extra = jobs.len() % threads;
     let mut outputs = Vec::with_capacity(jobs.len());
-    let mut states = Vec::with_capacity(threads);
     let solve_shard = &solve_shard;
     std::thread::scope(|scope| {
         let mut rest = jobs;
@@ -129,12 +98,10 @@ where
             .collect();
         for worker in workers {
             // mlf-lint: allow(panic-unwrap, reason = "re-raising a worker panic on the coordinating thread is the correct failure mode; swallowing it would silently drop that shard's results")
-            let (shard_outputs, state) = worker.join().expect("sweep worker panicked");
-            outputs.extend(shard_outputs);
-            states.push(state);
+            outputs.extend(worker.join().expect("sweep worker panicked"));
         }
     });
-    (outputs, states)
+    outputs
 }
 
 #[cfg(test)]

@@ -1,6 +1,6 @@
-//! FNV-1a 64-bit hashing — the content-hash primitive shared by the
-//! checkpoint file's shard hashes and line checksums, its sweep identity,
-//! and the solve cache's scenario-identity component.
+//! FNV-1a 64-bit hashing — the content-hash primitive behind the
+//! checkpoint file's shard hashes, its line checksums and its sweep
+//! identity.
 //!
 //! FNV-1a is deliberately simple: a fixed offset basis folded with a fixed
 //! prime, byte by byte, with no seeds and no platform dependence — the same

@@ -11,30 +11,27 @@
 //!
 //! A scenario owns one [`SolverWorkspace`], so a sweep's repeated solves
 //! reuse scratch buffers instead of re-allocating per call — the hot-path
-//! win the Figure 5/8 sweeps need. It also owns a bounded [`SolveCache`]
-//! ([`cache`]): seeded topologies are built once per `(family, shape,
-//! seed)` and whole sweep points are memoized per `(topology, effective
-//! link-rate model)`, so model grids share topology builds and repeated
-//! sweeps replay from cache — bitwise identically, with
-//! [`SweepReport::cache`] reporting hits/misses/evictions. For multi-core
+//! win the Figure 5/8 sweeps need. A sweep job is one seed: its topology
+//! is built once and solved under every requested link-rate model in turn,
+//! so a grid's models share one build with no cache in between, and
+//! [`SweepReport::cache`] counts that topology work. For multi-core
 //! machines, [`Scenario::sweep_par`] and [`Scenario::sweep_grid_par`]
-//! shard the seed/grid space across `std::thread::scope` workers (one
-//! workspace and one worker-local cache per worker) and merge the points
-//! back in deterministic seed order, so the parallel output is **bitwise
-//! identical** to the serial one at any thread count.
+//! shard the seeds across `std::thread::scope` workers (one workspace per
+//! worker) and merge the points back in deterministic order, so the
+//! parallel output is **bitwise identical** to the serial one at any thread
+//! count.
 //!
 //! ## The shared executor
 //!
 //! The shard/merge machinery itself lives in [`executor::run_jobs_par`],
 //! generic over the job and output types: balanced contiguous partition,
 //! one worker-local state per thread, in-order merge. Allocator sweeps
-//! instantiate it with `(model, seed)` jobs and per-worker
-//! [`SolverWorkspace`]s; [`protocol`] instantiates it with
-//! `(protocol, loss, seed)` jobs and stateless workers, which is how the
-//! Figure 8 protocol comparisons ([`ProtocolScenario`] over a
-//! [`ProtocolSweepGrid`]) get the same parallel, bitwise-deterministic
-//! treatment as allocator sweeps. See the [`executor`] module docs for the
-//! exact determinism contract.
+//! instantiate it with seed jobs and per-worker [`SolverWorkspace`]s;
+//! [`protocol`] instantiates it with `(protocol, loss, seed)` jobs and
+//! stateless workers, which is how the Figure 8 protocol comparisons
+//! ([`ProtocolScenario`] over a [`ProtocolSweepGrid`]) get the same
+//! parallel, bitwise-deterministic treatment as allocator sweeps. See the
+//! [`executor`] module docs for the exact determinism contract.
 //!
 //! ## Checkpointed sweeps
 //!
@@ -106,13 +103,11 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod cache;
 pub mod checkpoint;
 pub mod executor;
 mod hash;
 pub mod protocol;
 
-pub use cache::{CacheStats, SharedSolveCache, SolveCache};
 pub use checkpoint::CheckpointError;
 pub use protocol::ProtocolScenarioError;
 pub use protocol::{
@@ -120,8 +115,6 @@ pub use protocol::{
     ProtocolSweepReport,
 };
 
-use cache::{SolveKey, TopologyKey};
-use hash::Fnv1a;
 use mlf_core::allocator::{Allocator, Hybrid, SolverWorkspace};
 use mlf_core::{
     metrics, properties, FairnessReport, LinkRateConfig, LinkRateModel, MaxMinSolution,
@@ -129,6 +122,7 @@ use mlf_core::{
 use mlf_layering::LayerSchedule;
 use mlf_net::topology::random_network_with;
 use mlf_net::{Network, ReceiverId, TopologyError, TopologyFamily};
+use std::borrow::Cow;
 
 /// Where a scenario's networks come from.
 #[derive(Debug, Clone)]
@@ -237,9 +231,6 @@ pub struct ScenarioBuilder {
     allocator: Box<dyn Allocator>,
     layering: Option<LayerSchedule>,
     check_properties: bool,
-    cache_points: usize,
-    cache_networks: usize,
-    shared_cache: Option<SharedSolveCache>,
 }
 
 impl Default for ScenarioBuilder {
@@ -251,9 +242,6 @@ impl Default for ScenarioBuilder {
             allocator: Box::new(Hybrid::as_declared()),
             layering: None,
             check_properties: true,
-            cache_points: cache::DEFAULT_POINT_CAPACITY,
-            cache_networks: cache::DEFAULT_NETWORK_CAPACITY,
-            shared_cache: None,
         }
     }
 }
@@ -325,33 +313,6 @@ impl ScenarioBuilder {
         self
     }
 
-    /// Bound the sweep solve/topology cache: `points` memoized
-    /// [`SweepPoint`]s and `networks` built topologies (defaults:
-    /// [`cache::DEFAULT_POINT_CAPACITY`] /
-    /// [`cache::DEFAULT_NETWORK_CAPACITY`]). `cache_capacity(0, 0)`
-    /// disables caching entirely; see [`cache`] for the key semantics and
-    /// the determinism argument.
-    pub fn cache_capacity(mut self, points: usize, networks: usize) -> Self {
-        self.cache_points = points;
-        self.cache_networks = networks;
-        self
-    }
-
-    /// Pool this scenario's serial-sweep solve cache with other scenarios
-    /// holding a clone of the same [`SharedSolveCache`] handle. Scenarios
-    /// that differ only in *reporting* (label, layering ladder) perform
-    /// identical solves and serve each other's points; scenarios whose
-    /// solve-relevant configuration differs key disjoint entries via the
-    /// scenario-identity component of the cache key, so sharing one handle
-    /// across heterogeneous scenarios is always safe. An allocator that
-    /// cannot state its [`cache_signature`](Allocator::cache_signature)
-    /// falls back to the scenario-owned cache. Parallel sweeps keep
-    /// worker-local caches and never consult the shared handle.
-    pub fn shared_cache(mut self, shared: &SharedSolveCache) -> Self {
-        self.shared_cache = Some(shared.clone());
-        self
-    }
-
     /// Validate and assemble the scenario.
     pub fn build(self) -> Result<Scenario, ScenarioError> {
         let source = self.source.ok_or(ScenarioError::MissingNetwork)?;
@@ -387,17 +348,6 @@ impl ScenarioBuilder {
                 }
             }
         }
-        // The scenario's solve-relevant identity: everything outside the
-        // per-point `SolveKey` that can still change a solve's bytes. `None`
-        // when the allocator cannot cheaply state its signature — the
-        // scenario-owned cache then keys with a sentinel (it only ever sees
-        // this one configuration) and shared caches are bypassed.
-        let scenario_sig = self.allocator.cache_signature().map(|sig| {
-            let mut h = Fnv1a::new();
-            h.write(sig.as_bytes());
-            h.write_u64(u64::from(self.check_properties));
-            h.finish()
-        });
         Ok(Scenario {
             label: self.label,
             source,
@@ -406,11 +356,6 @@ impl ScenarioBuilder {
             layering: self.layering,
             check_properties: self.check_properties,
             ws: SolverWorkspace::new(),
-            cache: SolveCache::with_capacity(self.cache_points, self.cache_networks),
-            cache_points: self.cache_points,
-            cache_networks: self.cache_networks,
-            shared_cache: self.shared_cache,
-            scenario_sig,
         })
     }
 }
@@ -419,15 +364,11 @@ impl ScenarioBuilder {
 /// × (optional) layering × reporting, with solver scratch reused across
 /// every run it performs.
 ///
-/// Serial sweeps additionally reuse a per-scenario [`SolveCache`]: seeded
-/// topologies are built once per `(family, shape, seed)` and whole sweep
-/// points are memoized per `(topology, effective link-rate model)`, so a
-/// grid revisiting the same cells (across its models, or across repeated
-/// sweep calls) skips the rebuild and the solve. Cached output is bitwise
-/// identical to uncached output — a point is a pure function of its key —
-/// and the parallel executors give each worker a private cache, keeping
-/// the serial/parallel bitwise contract intact. [`SweepReport::cache`]
-/// reports each sweep's hits/misses/evictions.
+/// Every sweep maps one per-seed job over its seeds: the seed's topology is
+/// built once and solved under each requested link-rate model in order, so
+/// the models of a grid share one build. A point is a pure function of its
+/// `(seed, model)` pair, which is what keeps serial, parallel and resumed
+/// sweeps bitwise identical.
 pub struct Scenario {
     label: String,
     source: NetworkSource,
@@ -436,11 +377,6 @@ pub struct Scenario {
     layering: Option<LayerSchedule>,
     check_properties: bool,
     ws: SolverWorkspace,
-    cache: SolveCache,
-    cache_points: usize,
-    cache_networks: usize,
-    shared_cache: Option<SharedSolveCache>,
-    scenario_sig: Option<u64>,
 }
 
 impl Scenario {
@@ -469,64 +405,37 @@ impl Scenario {
 
     /// Solve the scenario once (seed 0 for random sources).
     pub fn run(&mut self) -> ScenarioReport {
-        self.run_seeded(0)
-    }
-
-    /// Solve the scenario for one seed (ignored by fixed sources).
-    pub(crate) fn run_seeded(&mut self, seed: u64) -> ScenarioReport {
-        self.run_inner(seed, None)
-    }
-
-    fn run_inner(&mut self, seed: u64, model_override: Option<LinkRateModel>) -> ScenarioReport {
-        // Detach the owned workspace so the shared solve path can borrow
-        // `self` immutably (the same path the parallel workers use).
+        // Detach the owned workspace so the solve path can borrow `self`
+        // immutably (the same path the parallel workers use).
         let mut ws = std::mem::take(&mut self.ws);
-        let report = self.solve_with_ws(seed, model_override, &mut ws);
+        let report = self.report_for(&self.network_for(0), 0, None, &mut ws);
         self.ws = ws;
         report
     }
 
-    /// Solve one point against an explicit workspace. This is the whole
-    /// solve path: serial sweeps call it with the scenario's own workspace,
-    /// parallel workers with their per-thread one — which is why the two
-    /// executors agree bitwise (a solve's result never depends on workspace
-    /// history).
-    fn solve_with_ws(
-        &self,
-        seed: u64,
-        model_override: Option<LinkRateModel>,
-        ws: &mut SolverWorkspace,
-    ) -> ScenarioReport {
-        let owned;
-        let net = match &self.source {
-            NetworkSource::Fixed(net) => net,
-            NetworkSource::Random { .. } => {
-                owned = self.build_network(seed);
-                &owned
-            }
-        };
-        self.report_for(net, seed, model_override, ws)
-    }
-
-    /// Build the seeded topology of a random source (panics on fixed
-    /// sources, which never call it).
-    fn build_network(&self, seed: u64) -> Network {
+    /// The network of one seed: a fixed source lends its own, a random
+    /// source builds the seeded topology.
+    fn network_for(&self, seed: u64) -> Cow<'_, Network> {
         match &self.source {
-            NetworkSource::Fixed(_) => unreachable!("fixed sources hold their network"),
+            NetworkSource::Fixed(net) => Cow::Borrowed(net),
             NetworkSource::Random {
                 family,
                 nodes,
                 sessions,
                 max_receivers,
-            } => random_network_with(*family, seed, *nodes, *sessions, *max_receivers)
-                // mlf-lint: allow(panic-unwrap, reason = "ScenarioBuilder::build already rejected invalid random-source parameters, so regeneration cannot fail")
-                .expect("random-source parameters were validated at build time"),
+            } => Cow::Owned(
+                random_network_with(*family, seed, *nodes, *sessions, *max_receivers)
+                    // mlf-lint: allow(panic-unwrap, reason = "ScenarioBuilder::build already rejected invalid random-source parameters, so regeneration cannot fail")
+                    .expect("random-source parameters were validated at build time"),
+            ),
         }
     }
 
-    /// The full per-point report against an explicit, already-built
-    /// network: the tail of the solve path shared by the cached and
-    /// uncached executors.
+    /// The full per-point report against an already-built network. This is
+    /// the whole solve path: serial sweeps call it with the scenario's own
+    /// workspace, parallel workers with their per-thread one — which is why
+    /// the two executors agree bitwise (a solve's result never depends on
+    /// workspace history).
     fn report_for(
         &self,
         net: &Network,
@@ -569,173 +478,89 @@ impl Scenario {
         }
     }
 
-    /// The cache identity of one sweep point, when the scenario's
-    /// configuration is expressible as a uniform link-rate model (explicit
-    /// per-session configs are not and bypass the cache).
-    fn solve_key(&self, seed: u64, model_override: Option<LinkRateModel>) -> Option<SolveKey> {
-        let model = match model_override {
-            Some(m) => m,
-            None => match &self.link_rates {
-                LinkRates::Efficient => LinkRateModel::Efficient,
-                LinkRates::Uniform(m) => *m,
-                LinkRates::Explicit(_) => return None,
-            },
-        };
-        let topology = match &self.source {
-            // Fixed solves are seed-independent: every seed shares one
-            // entry (the hit path restores the requesting seed label).
-            NetworkSource::Fixed(_) => TopologyKey::fixed(),
-            NetworkSource::Random {
-                family,
-                nodes,
-                sessions,
-                max_receivers,
-            } => TopologyKey::random(*family, *nodes, *sessions, *max_receivers, seed),
-        };
-        // Owned caches only ever see this scenario's configuration, so a
-        // signature-less allocator can safely key with a sentinel digest;
-        // shared caches require a real signature (checked by the caller).
-        Some(SolveKey::new(
-            topology,
-            model,
-            self.scenario_sig.unwrap_or(0),
-        ))
-    }
-
-    /// One sweep point through the cache (when one is supplied and the
-    /// point is representable): memoized points return as clones, misses
-    /// solve against the cached topology and populate the memo.
-    fn sweep_point_with(
+    /// One sweep job: every point of `seed`. The seed's topology is built
+    /// once and solved under each of `models` in order (`None` = the
+    /// scenario's own link rates). Every sweep entry point maps this
+    /// function over its seeds.
+    fn seed_points(
         &self,
         seed: u64,
-        model: Option<LinkRateModel>,
+        models: &[Option<LinkRateModel>],
         ws: &mut SolverWorkspace,
-        cache: Option<&mut SolveCache>,
-    ) -> SweepPoint {
-        let uncached = |ws: &mut SolverWorkspace| {
-            SweepPoint::from_report(self.solve_with_ws(seed, model, ws), model)
-        };
-        let Some(cache) = cache else {
-            return uncached(ws);
-        };
-        let Some(key) = self.solve_key(seed, model) else {
-            return uncached(ws);
-        };
-        if let Some(mut point) = cache.point(&key) {
-            // The solve is key-determined but the `model` and `seed`
-            // labels record what *this* job requested: a `None` job served
-            // by a memoized `Some(Efficient)` solve, or a fixed-source
-            // point memoized under a different seed, must still label its
-            // point the way an uncached run would.
-            point.model = model;
-            point.seed = seed;
-            return point;
+    ) -> Vec<SweepPoint> {
+        let net = self.network_for(seed);
+        models
+            .iter()
+            .map(|&model| SweepPoint::from_report(self.report_for(&net, seed, model, ws), model))
+            .collect()
+    }
+
+    /// The topology work of `seeds` jobs over `models` models each: a
+    /// random source builds one topology per seed (a miss) and reuses it
+    /// for every further model (a hit); a fixed source builds nothing.
+    fn topology_counts(&self, seeds: usize, models: usize) -> CacheStats {
+        match self.source {
+            NetworkSource::Fixed(_) => CacheStats::default(),
+            NetworkSource::Random { .. } => CacheStats {
+                hits: (seeds * models.saturating_sub(1)) as u64,
+                misses: seeds as u64,
+                evictions: 0,
+            },
         }
-        let report = match &self.source {
-            NetworkSource::Fixed(net) => self.report_for(net, seed, model, ws),
-            NetworkSource::Random { .. } => {
-                let net = cache.network(key.topology(), || self.build_network(seed));
-                self.report_for(&net, seed, model, ws)
-            }
-        };
-        let point = SweepPoint::from_report(report, model);
-        cache.insert_point(key, point.clone());
-        point
     }
 
-    /// Whether caching is enabled at all for this scenario.
-    fn caching_enabled(&self) -> bool {
-        self.cache_points > 0 || self.cache_networks > 0
-    }
-
-    /// A fresh cache sized like the scenario's (the worker-local caches of
-    /// the parallel executors), or `None` when caching is disabled.
-    fn worker_cache(&self) -> Option<SolveCache> {
-        self.caching_enabled()
-            .then(|| SolveCache::with_capacity(self.cache_points, self.cache_networks))
-    }
-
-    /// Run one solve per seed, reusing the workspace — and the scenario's
-    /// persistent [`SolveCache`] — throughout. The result is a pure
-    /// function of the seeds (and the scenario spec): two sweeps with
-    /// equal seeds produce equal points (the second served from cache).
-    pub fn sweep<I: IntoIterator<Item = u64>>(&mut self, seeds: I) -> SweepReport {
-        let jobs: Vec<(Option<LinkRateModel>, u64)> =
-            seeds.into_iter().map(|s| (None, s)).collect();
-        self.sweep_jobs_serial(&jobs)
-    }
-
-    /// Run the full `seeds × models` grid (the Figure 4/5/6 pattern:
-    /// the same topologies under different redundancy models). Each seeded
-    /// topology is built once and shared across the grid's models through
-    /// the scenario cache.
-    pub fn sweep_grid(&mut self, grid: &SweepGrid) -> SweepReport {
-        self.check_grid(grid);
-        let jobs = Self::grid_jobs(grid);
-        self.sweep_jobs_serial(&jobs)
-    }
-
-    /// The serial executor: one workspace, the scenario's own cache (or
-    /// the pooled [`SharedSolveCache`] when one is configured and the
-    /// allocator can state its signature), jobs in order.
-    /// [`SweepReport::cache`] carries this sweep's share of the cache
-    /// counters.
-    fn sweep_jobs_serial(&mut self, jobs: &[(Option<LinkRateModel>, u64)]) -> SweepReport {
-        // Detach the owned workspace/cache so the shared solve path can
-        // borrow `self` immutably (the same path the parallel workers use).
-        let mut ws = std::mem::take(&mut self.ws);
-        let shared = match self.scenario_sig {
-            // Sharing is only sound when the scenario identity digest is
-            // real — a sentinel would let unrelated configurations collide.
-            Some(_) => self.shared_cache.clone(),
-            None => None,
-        };
-        let (points, stats) = if let Some(shared) = shared {
-            // One lock acquisition for the whole sweep, not one per point.
-            let mut guard = shared.lock();
-            let before = guard.stats();
-            let points = jobs
-                .iter()
-                .map(|&(model, seed)| {
-                    self.sweep_point_with(seed, model, &mut ws, Some(&mut *guard))
-                })
-                .collect();
-            (points, guard.stats().since(&before))
-        } else {
-            let mut cache = std::mem::take(&mut self.cache);
-            let before = cache.stats();
-            let enabled = self.caching_enabled();
-            let points = jobs
-                .iter()
-                .map(|&(model, seed)| {
-                    self.sweep_point_with(seed, model, &mut ws, enabled.then_some(&mut cache))
-                })
-                .collect();
-            let stats = cache.stats().since(&before);
-            self.cache = cache;
-            (points, stats)
-        };
-        self.ws = ws;
+    /// Assemble a report from per-seed points, laid back out models-major
+    /// (every seed under the first model, then under the second, …).
+    fn report_from(&self, per_seed: Vec<Vec<SweepPoint>>, models: usize) -> SweepReport {
+        let cache = self.topology_counts(per_seed.len(), models);
+        let mut points = Vec::with_capacity(per_seed.len() * models);
+        let mut columns: Vec<_> = per_seed.into_iter().map(Vec::into_iter).collect();
+        for _ in 0..models {
+            points.extend(columns.iter_mut().filter_map(Iterator::next));
+        }
         SweepReport {
             label: self.label.clone(),
             points,
-            cache: stats,
+            cache,
         }
     }
 
-    /// The canonical job order of a grid — models-major, then seeds. Both
-    /// the serial and the parallel grid executor consume this one
-    /// expansion, so their point order can never diverge.
-    fn grid_jobs(grid: &SweepGrid) -> Vec<(Option<LinkRateModel>, u64)> {
-        let mut jobs = Vec::with_capacity(grid.seeds.len() * grid.models.len().max(1));
+    /// Run one solve per seed, reusing the scenario's workspace
+    /// throughout. The result is a pure function of the seeds (and the
+    /// scenario spec): two sweeps with equal seeds produce equal points.
+    pub fn sweep<I: IntoIterator<Item = u64>>(&mut self, seeds: I) -> SweepReport {
+        let seeds: Vec<u64> = seeds.into_iter().collect();
+        self.sweep_serial(&seeds, &[None])
+    }
+
+    /// Run the full `seeds × models` grid (the Figure 4/5/6 pattern: the
+    /// same topologies under different redundancy models). Each seeded
+    /// topology is built once and solved under every model of the grid.
+    pub fn sweep_grid(&mut self, grid: &SweepGrid) -> SweepReport {
+        self.check_grid(grid);
+        self.sweep_serial(&grid.seeds, &Self::grid_models(grid))
+    }
+
+    /// The serial executor: the per-seed jobs in order, on the scenario's
+    /// own workspace (so [`Scenario::solves`] counts them).
+    fn sweep_serial(&mut self, seeds: &[u64], models: &[Option<LinkRateModel>]) -> SweepReport {
+        let mut ws = std::mem::take(&mut self.ws);
+        let per_seed = seeds
+            .iter()
+            .map(|&seed| self.seed_points(seed, models, &mut ws))
+            .collect();
+        self.ws = ws;
+        self.report_from(per_seed, models.len())
+    }
+
+    /// The models every seed of a grid is solved under: the grid's uniform
+    /// models, or the scenario's own link rates when it names none.
+    fn grid_models(grid: &SweepGrid) -> Vec<Option<LinkRateModel>> {
         if grid.models.is_empty() {
-            jobs.extend(grid.seeds.iter().map(|&s| (None, s)));
+            vec![None]
         } else {
-            for &model in &grid.models {
-                jobs.extend(grid.seeds.iter().map(|&s| (Some(model), s)));
-            }
+            grid.models.iter().copied().map(Some).collect()
         }
-        jobs
     }
 
     fn check_grid(&self, grid: &SweepGrid) {
@@ -749,20 +574,16 @@ impl Scenario {
     /// [`Scenario::sweep`], sharded across `threads` scoped worker threads.
     ///
     /// Each worker solves a contiguous shard of the seed list with its own
-    /// [`SolverWorkspace`] and its own worker-local [`SolveCache`]; shards
-    /// are merged back in seed order, so the result is **bitwise
-    /// identical** to the serial [`Scenario::sweep`] for the same seeds,
-    /// at any thread count (a solve's output never depends on workspace or
-    /// cache history — a hit replays exactly the bits a fresh solve would
-    /// produce). `threads == 0` means "use
+    /// [`SolverWorkspace`]; shards are merged back in seed order, so the
+    /// result is **bitwise identical** to the serial [`Scenario::sweep`]
+    /// for the same seeds, at any thread count (a solve's output never
+    /// depends on workspace history). `threads == 0` means "use
     /// `std::thread::available_parallelism`". The scenario's own workspace
-    /// and cache are untouched, so [`Scenario::solves`] does not count
-    /// parallel solves; the report's [`SweepReport::cache`] merges the
-    /// workers' counters.
+    /// is untouched, so [`Scenario::solves`] does not count parallel
+    /// solves.
     pub fn sweep_par<I: IntoIterator<Item = u64>>(&self, seeds: I, threads: usize) -> SweepReport {
-        let jobs: Vec<(Option<LinkRateModel>, u64)> =
-            seeds.into_iter().map(|s| (None, s)).collect();
-        self.sweep_jobs_par(&jobs, threads)
+        let seeds: Vec<u64> = seeds.into_iter().collect();
+        self.sweep_seeds_par(&seeds, &[None], threads)
     }
 
     /// [`Scenario::sweep_grid`], sharded across `threads` scoped worker
@@ -770,54 +591,19 @@ impl Scenario {
     /// bits match the serial executor exactly.
     pub fn sweep_grid_par(&self, grid: &SweepGrid, threads: usize) -> SweepReport {
         self.check_grid(grid);
-        self.sweep_jobs_par(&Self::grid_jobs(grid), threads)
+        self.sweep_seeds_par(&grid.seeds, &Self::grid_models(grid), threads)
     }
 
-    fn sweep_jobs_par(&self, jobs: &[(Option<LinkRateModel>, u64)], threads: usize) -> SweepReport {
-        let (points, cache) = self.run_jobs_par(jobs, threads, |ws, cache, &(model, seed)| {
-            self.sweep_point_with(seed, model, ws, cache)
-        });
-        SweepReport {
-            label: self.label.clone(),
-            points,
-            cache,
-        }
-    }
-
-    /// Run a job list through the shared deterministic executor
-    /// ([`executor::run_jobs_par_with_state`]): balanced contiguous
-    /// shards, one `(SolverWorkspace, SolveCache)` per worker, outputs
-    /// merged back in job order, worker cache counters summed in shard
-    /// order.
-    fn run_jobs_par<J: Sync, O: Send>(
+    fn sweep_seeds_par(
         &self,
-        jobs: &[J],
+        seeds: &[u64],
+        models: &[Option<LinkRateModel>],
         threads: usize,
-        solve: impl Fn(&mut SolverWorkspace, Option<&mut SolveCache>, &J) -> O + Sync,
-    ) -> (Vec<O>, CacheStats) {
-        let (outputs, states) = executor::run_jobs_par_with_state(
-            jobs,
-            threads,
-            || (SolverWorkspace::new(), self.worker_cache()),
-            |(ws, cache), job| solve(ws, cache.as_mut(), job),
-        );
-        let mut stats = CacheStats::default();
-        for cache in states.iter().filter_map(|(_, cache)| cache.as_ref()) {
-            stats.merge(&cache.stats());
-        }
-        (outputs, stats)
-    }
-
-    /// The lifetime counters of the scenario's own (serial-sweep) cache.
-    // mlf-lint: allow(unused-pub, reason = "intentional API surface kept public alongside its siblings")
-    pub fn cache_stats(&self) -> CacheStats {
-        self.cache.stats()
-    }
-
-    /// Drop every cached topology and sweep point (counters are kept).
-    // mlf-lint: allow(unused-pub, reason = "intentional API surface kept public alongside its siblings")
-    pub fn clear_cache(&mut self) {
-        self.cache.clear();
+    ) -> SweepReport {
+        let per_seed = executor::run_jobs_par(seeds, threads, SolverWorkspace::new, |ws, &seed| {
+            self.seed_points(seed, models, ws)
+        });
+        self.report_from(per_seed, models.len())
     }
 }
 
@@ -972,6 +758,21 @@ impl SweepPoint {
     }
 }
 
+/// The topology work of one sweep, counted from its jobs: how many seeded
+/// topologies were built, and how many further models were solved on one
+/// already built. Sweeps hold nothing between jobs, so a repeated seed is
+/// built again and counted again.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct CacheStats {
+    /// Further models solved on a topology the job had already built.
+    pub hits: u64,
+    /// Topologies built (one per computed seed of a random source; a fixed
+    /// source builds none).
+    pub misses: u64,
+    /// Always 0: nothing is held between jobs, so nothing is evicted.
+    pub evictions: u64,
+}
+
 /// The outcome of a sweep: one [`SweepPoint`] per (seed, model) pair.
 #[derive(Debug, Clone)]
 pub struct SweepReport {
@@ -979,17 +780,15 @@ pub struct SweepReport {
     pub label: String,
     /// The points, in sweep order.
     pub points: Vec<SweepPoint>,
-    /// This sweep's solve-cache counters (serial: the scenario cache's
-    /// delta; parallel: the workers' merged totals).
+    /// The topology work this call did (see [`CacheStats`]).
     pub cache: CacheStats,
 }
 
 /// Equality compares the **deterministic output** — label and points —
-/// and deliberately ignores [`SweepReport::cache`]: cache telemetry
-/// depends on execution history (a warm scenario hits where a cold one
-/// misses, workers shard differently at different thread counts) while
-/// the points are bitwise reproducible regardless. This is what lets the
-/// serial/parallel differential suites keep asserting `serial == parallel`.
+/// and deliberately ignores [`SweepReport::cache`]: the counters record the
+/// work a call did, and a resumed checkpointed sweep does less of it than a
+/// fresh one for the same points. This is what lets the differential
+/// suites assert `serial == parallel == resumed`.
 impl PartialEq for SweepReport {
     fn eq(&self, other: &Self) -> bool {
         self.label == other.label && self.points == other.points
@@ -1127,111 +926,18 @@ mod tests {
         let a = s.sweep(0..10);
         let b = s.sweep(0..10);
         assert_eq!(a, b);
-        // The first sweep solved everything; the second was served
-        // entirely from the scenario cache (same points, no new solves).
-        assert_eq!(s.solves(), 10);
-        assert_eq!(
-            (a.cache.hits, a.cache.misses, b.cache.hits, b.cache.misses),
-            (0, 10, 10, 0)
-        );
+        // Both sweeps solved on the scenario's own workspace.
+        assert_eq!(s.solves(), 20);
         assert_eq!(a.points.len(), 10);
         // Theorem 1 holds at every point of an all-multi-rate sweep.
         assert_eq!(a.all_properties_rate(), 1.0);
-
-        // With the cache disabled, every sweep re-solves.
-        let mut uncached = Scenario::builder()
-            .random_networks(12, 4, 4)
-            .allocator(MultiRate::new())
-            .cache_capacity(0, 0)
-            .build()
-            .unwrap();
-        let c = uncached.sweep(0..10);
-        let d = uncached.sweep(0..10);
-        assert_eq!(a.points, c.points, "cached and uncached points agree");
-        assert_eq!(c.points, d.points);
-        assert_eq!(uncached.solves(), 20);
-        assert_eq!(c.cache, CacheStats::default());
-    }
-
-    #[test]
-    fn warm_cache_replays_grid_sweeps_bitwise() {
-        let mut s = Scenario::builder()
-            .random_networks(14, 4, 4)
-            .allocator(MultiRate::new())
-            .build()
-            .unwrap();
-        let grid = SweepGrid::seeds(0..6).with_models([
-            LinkRateModel::Efficient,
-            LinkRateModel::Scaled(2.0),
-            LinkRateModel::Sum,
-        ]);
-        let cold = s.sweep_grid(&grid);
-        assert_eq!((cold.cache.hits, cold.cache.misses), (0, 18));
-        let solves_after_cold = s.solves();
-        let warm = s.sweep_grid(&grid);
-        assert_eq!(cold, warm, "warm replay is bitwise identical");
-        assert_eq!((warm.cache.hits, warm.cache.misses), (18, 0));
-        assert_eq!(s.solves(), solves_after_cold, "warm sweep solved nothing");
-        // And a fresh uncached scenario agrees point for point.
-        let fresh = Scenario::builder()
-            .random_networks(14, 4, 4)
-            .allocator(MultiRate::new())
-            .cache_capacity(0, 0)
-            .build()
-            .unwrap()
-            .sweep_grid(&grid);
-        assert_eq!(cold.points, fresh.points);
-    }
-
-    #[test]
-    fn permuted_cache_population_order_preserves_stats_and_output() {
-        // Warm two identical scenarios through grids that visit the same
-        // cells in different orders, then sweep both with the canonical
-        // grid. The caches were *populated* in different orders, so any
-        // iteration-order dependence inside the cache (or hash-seed
-        // dependence across instances) would surface as diverging stats or
-        // points here.
-        let models = [
-            LinkRateModel::Efficient,
-            LinkRateModel::Scaled(2.0),
-            LinkRateModel::Sum,
-        ];
-        let canonical = SweepGrid::seeds(0..6).with_models(models);
-        let permuted = SweepGrid::seeds((0..6).rev()).with_models({
-            let mut m = models;
-            m.reverse();
-            m
-        });
-        let build = || {
-            Scenario::builder()
-                .random_networks(14, 4, 4)
-                .allocator(MultiRate::new())
-                .build()
-                .unwrap()
-        };
-        let mut a = build();
-        let mut b = build();
-        a.sweep_grid(&canonical);
-        b.sweep_grid(&permuted);
-        let out_a = a.sweep_grid(&canonical);
-        let out_b = b.sweep_grid(&canonical);
-        assert_eq!(out_a, out_b, "sweep output depends on population order");
-        assert_eq!(
-            (out_a.cache.hits, out_a.cache.misses),
-            (18, 0),
-            "canonical replay after canonical warmup must be all hits"
-        );
-        assert_eq!(
-            out_a.cache, out_b.cache,
-            "cache stats depend on population order"
-        );
     }
 
     #[test]
     fn grid_cells_share_solves_when_models_normalize_equal() {
         // The scenario's default (Efficient) and an explicit Efficient grid
-        // model are the *same* solve: the second block of cells is served
-        // from the first block's entries.
+        // model are the *same* solve: equal metrics cell for cell, each
+        // point labelled with what its sweep requested.
         let mut s = Scenario::builder()
             .random_networks(12, 3, 3)
             .allocator(MultiRate::new())
@@ -1239,16 +945,12 @@ mod tests {
             .unwrap();
         let grid = SweepGrid::seeds(0..5).with_models([LinkRateModel::Efficient]);
         let with_model = s.sweep_grid(&grid);
-        assert_eq!((with_model.cache.hits, with_model.cache.misses), (0, 5));
         let plain = s.sweep(0..5);
-        assert_eq!((plain.cache.hits, plain.cache.misses), (5, 0));
-        // Labels still reflect what each sweep requested.
         assert!(with_model
             .points
             .iter()
             .all(|p| p.model == Some(LinkRateModel::Efficient)));
         assert!(plain.points.iter().all(|p| p.model.is_none()));
-        // Metrics are identical cell for cell.
         for (a, b) in with_model.points.iter().zip(&plain.points) {
             assert_eq!(a.metrics, b.metrics);
         }
@@ -1256,45 +958,106 @@ mod tests {
 
     #[test]
     fn fixed_sources_share_one_solve_across_seeds() {
-        // A fixed network's solve is seed-independent; sweeping many seeds
-        // must solve once and relabel cached points per seed.
+        // A fixed network's solve is seed-independent: every seed reports
+        // the same metrics under its own seed label.
         let mut s = Scenario::builder()
             .network(two_branch_network())
             .allocator(MultiRate::new())
             .build()
             .unwrap();
         let report = s.sweep(0..8);
-        assert_eq!((report.cache.hits, report.cache.misses), (7, 1));
-        assert_eq!(s.solves(), 1);
         for (seed, p) in report.points.iter().enumerate() {
-            assert_eq!(p.seed, seed as u64, "seed label restored on hit");
+            assert_eq!(p.seed, seed as u64);
             assert_eq!(p.metrics, report.points[0].metrics);
         }
-        // And the points match an uncached scenario's exactly.
-        let uncached = Scenario::builder()
-            .network(two_branch_network())
-            .allocator(MultiRate::new())
-            .cache_capacity(0, 0)
-            .build()
-            .unwrap()
-            .sweep(0..8);
-        assert_eq!(report.points, uncached.points);
+    }
+
+    fn counts(stats: CacheStats) -> (u64, u64, u64) {
+        (stats.hits, stats.misses, stats.evictions)
     }
 
     #[test]
-    fn explicit_configs_bypass_the_cache() {
-        let net = two_branch_network();
+    fn grid_counters_count_one_build_per_seed() {
+        const SEEDS: u64 = 5;
         let mut s = Scenario::builder()
-            .network(net)
+            .random_networks(12, 3, 3)
             .allocator(MultiRate::new())
-            .link_rates(LinkRates::Explicit(
-                LinkRateConfig::efficient(2).with_session(0, LinkRateModel::Scaled(2.0)),
-            ))
             .build()
             .unwrap();
-        let a = s.sweep([0, 0, 0]);
-        assert_eq!(a.cache, CacheStats::default(), "no cacheable key");
-        assert_eq!(s.solves(), 3);
+        let grid = SweepGrid::seeds(0..SEEDS).with_models([
+            LinkRateModel::Efficient,
+            LinkRateModel::Scaled(2.0),
+            LinkRateModel::Sum,
+        ]);
+        let want = (SEEDS * 2, SEEDS, 0);
+        assert_eq!(counts(s.sweep_grid(&grid).cache), want, "serial");
+        for threads in [0, 1, 2, 3, 7] {
+            assert_eq!(
+                counts(s.sweep_grid_par(&grid, threads).cache),
+                want,
+                "{threads} threads"
+            );
+        }
+        // One model per seed: every job builds, none reuses.
+        assert_eq!(counts(s.sweep(0..SEEDS).cache), (0, SEEDS, 0));
+        assert_eq!(counts(s.sweep_par(0..SEEDS, 2).cache), (0, SEEDS, 0));
+    }
+
+    #[test]
+    fn fixed_sources_build_no_topology() {
+        let mut s = Scenario::builder()
+            .network(two_branch_network())
+            .allocator(MultiRate::new())
+            .build()
+            .unwrap();
+        let grid =
+            SweepGrid::seeds(0..4).with_models([LinkRateModel::Efficient, LinkRateModel::Sum]);
+        assert_eq!(counts(s.sweep(0..8).cache), (0, 0, 0));
+        assert_eq!(counts(s.sweep_par(0..8, 3).cache), (0, 0, 0));
+        assert_eq!(counts(s.sweep_grid(&grid).cache), (0, 0, 0));
+        assert_eq!(counts(s.sweep_grid_par(&grid, 2).cache), (0, 0, 0));
+    }
+
+    #[test]
+    fn resumed_checkpointed_sweeps_count_only_recomputed_shards() {
+        use checkpoint::SHARD_SIZE;
+        let s = Scenario::builder()
+            .random_networks(12, 3, 3)
+            .allocator(MultiRate::new())
+            .build()
+            .unwrap();
+        // Three shards; the last two revisit the first shard's seeds, so a
+        // sweep that memoized points would report hits here.
+        let seeds: Vec<u64> = (0..12).chain(0..12).collect();
+        assert_eq!(seeds.len(), 3 * SHARD_SIZE);
+        for threads in [1, 2] {
+            let path = std::env::temp_dir().join(format!(
+                "mlf-topology-counts-{}-{threads}.jsonl",
+                std::process::id()
+            ));
+            let _ = std::fs::remove_file(&path);
+            let (fresh, restored) = s
+                .sweep_par_checkpointed(seeds.iter().copied(), threads, &path)
+                .unwrap();
+            assert_eq!(restored, 0);
+            assert_eq!(counts(fresh.cache), (0, 24, 0), "{threads} threads");
+            // Keep the header and shard 0; shards 1 and 2 are recomputed.
+            let text = std::fs::read_to_string(&path).unwrap();
+            let kept: String = text.split_inclusive('\n').take(2).collect();
+            std::fs::write(&path, kept).unwrap();
+            let (resumed, restored) = s
+                .sweep_par_checkpointed(seeds.iter().copied(), threads, &path)
+                .unwrap();
+            assert_eq!(restored, 1);
+            assert_eq!(counts(resumed.cache), (0, 16, 0), "{threads} threads");
+            assert_eq!(resumed, fresh);
+            let (full, restored) = s
+                .sweep_par_checkpointed(seeds.iter().copied(), threads, &path)
+                .unwrap();
+            assert_eq!(restored, 3);
+            assert_eq!(counts(full.cache), (0, 0, 0), "{threads} threads");
+            std::fs::remove_file(&path).unwrap();
+        }
     }
 
     #[test]

@@ -362,27 +362,18 @@ fn a_panic_mid_sweep_loses_only_the_unfinished_shard() {
 }
 
 // ---------------------------------------------------------------------------
-// Cache counters
+// Topology counters
 // ---------------------------------------------------------------------------
 
 #[test]
-fn checkpointed_reports_carry_worker_cache_counters() {
+fn checkpointed_reports_count_the_topologies_they_built() {
     let jobs = SEEDS.end - SEEDS.start;
-    let path = tmp("cache");
+    let counts = |r: &SweepReport| (r.cache.hits, r.cache.misses, r.cache.evictions);
+    let path = tmp("counters");
     let (cold, _) = run(&scenario(), 2, &path);
-    assert!(
-        cold.cache.misses > 0,
-        "a cold sweep misses: {:?}",
-        cold.cache
-    );
-    assert_eq!(
-        cold.cache.hits + cold.cache.misses,
-        jobs,
-        "one lookup per job: {:?}",
-        cold.cache
-    );
-    // Resume with the first two shards on disk: only the other jobs are
-    // looked up, and the staleness re-solve is not counted.
+    assert_eq!(counts(&cold), (0, jobs, 0), "one build per seed");
+    // Resume with the first two shards on disk: only the other seeds are
+    // built, and the staleness re-solve is not counted.
     let text = std::fs::read_to_string(&path).expect("readable");
     let kept: String = text
         .split_inclusive('\n')
@@ -395,16 +386,11 @@ fn checkpointed_reports_carry_worker_cache_counters() {
     std::fs::write(&path, kept).expect("rewrite");
     let (warm, restored) = run(&scenario(), 2, &path);
     assert_eq!(restored, 2);
-    assert_eq!(
-        warm.cache.hits + warm.cache.misses,
-        jobs - 2 * SHARD_SIZE as u64,
-        "{:?}",
-        warm.cache
-    );
-    // Nothing left to compute: no lookups at all.
+    assert_eq!(counts(&warm), (0, jobs - 2 * SHARD_SIZE as u64, 0));
+    // Nothing left to compute: nothing built.
     let (full, restored) = run(&scenario(), 2, &path);
     assert_eq!(restored, SEEDS.end.div_ceil(SHARD_SIZE as u64));
-    assert_eq!(full.cache.hits + full.cache.misses, 0);
+    assert_eq!(counts(&full), (0, 0, 0));
     assert_bitwise(&full.points, &cold.points);
     std::fs::remove_file(&path).ok();
 }

@@ -28,7 +28,6 @@ fn main() {
         TopologyFamily::Dumbbell,
     ];
 
-    let mut cache_lines = Vec::new();
     println!(
         "{:<14} {:>10} {:>14} {:>16}",
         "family", "mean Jain", "mean min rate", "all-props rate"
@@ -42,9 +41,7 @@ fn main() {
             .expect("valid sweep parameters");
 
         // The parallel engine must reproduce the serial sweep exactly —
-        // same seeds, same bits, regardless of thread count. (Cache
-        // telemetry is not part of report equality: the serial sweep uses
-        // the scenario's persistent cache, parallel workers their own.)
+        // same seeds, same bits, regardless of thread count.
         let serial = scenario.sweep(seeds.clone());
         let parallel = scenario.sweep_par(seeds.clone(), threads);
         assert_eq!(
@@ -53,16 +50,6 @@ fn main() {
             "parallel sweep diverged from serial for {}",
             family.label()
         );
-        // A warm serial re-sweep is served from the scenario's solve cache.
-        let warm = scenario.sweep(seeds.clone());
-        assert_eq!(serial, warm);
-        cache_lines.push(format!(
-            "{:<14} cold: {} misses -> warm re-sweep: {} hits / {} misses",
-            family.label(),
-            serial.cache.misses,
-            warm.cache.hits,
-            warm.cache.misses,
-        ));
 
         println!(
             "{:<14} {:>10.4} {:>14.4} {:>16.3}",
@@ -71,13 +58,6 @@ fn main() {
             parallel.mean_min_rate(),
             parallel.all_properties_rate(),
         );
-    }
-
-    // Each scenario's solve cache replays a repeated sweep without
-    // re-solving a single point (bitwise identically — asserted above).
-    println!("\nSolve-cache effectiveness per family:");
-    for line in &cache_lines {
-        println!("  {line}");
     }
 
     // Degenerate requests fail loudly at build time instead of silently

@@ -77,13 +77,14 @@
 //! * **Bitwise reproducibility.** The same scenario, grid, and seeds
 //!   produce byte-identical output on every run, at any thread count
 //!   (`sweep_par`/`sweep_grid_par`/`run_jobs_par` merge worker shards in
-//!   canonical order), and with the solve cache warm or cold.
+//!   canonical order), and whether a checkpointed sweep ran fresh or
+//!   resumed.
 //! * **No ambient inputs.** Library code takes seeds, times, and
 //!   configuration as parameters — never from wall clocks
 //!   (`Instant`/`SystemTime`), environment variables, or thread identity.
 //!   Randomness comes only from in-tree seeded generators (SplitMix64).
 //! * **No iteration-order dependence.** `HashMap`/`HashSet` are keyed
-//!   stores only; anything order-sensitive (eviction, folds, output)
+//!   stores only; anything order-sensitive (folds, output)
 //!   walks explicit orders — sorted ids, insertion queues, CSR index
 //!   order.
 //! * **Total float comparisons.** Sorts and extrema over `f64` use
@@ -157,7 +158,7 @@ pub mod prelude {
     pub use mlf_protocols::{ExperimentParamError, ExperimentParams, ProtocolKind};
     pub use mlf_scenario::{
         CacheStats, LinkRates, ProtocolScenario, ProtocolSweepGrid, ProtocolSweepPoint,
-        ProtocolSweepReport, Scenario, ScenarioReport, SolveCache, SweepGrid, SweepReport,
+        ProtocolSweepReport, Scenario, ScenarioReport, SweepGrid, SweepReport,
     };
     pub use mlf_sim::{LossProcess, RunningStats, SimRng};
 }

@@ -76,6 +76,49 @@ fn parallel_sweep_matches_serial_with_more_threads_than_seeds() {
 }
 
 #[test]
+fn grid_blocks_equal_single_model_sweeps() {
+    // Serial ≡ parallel cannot catch a transposition both paths share, so
+    // pin the layout itself: the m-th block of a grid is a plain sweep of
+    // the same seeds by a scenario whose own link rates are model m.
+    let models = [
+        LinkRateModel::Efficient,
+        LinkRateModel::Scaled(2.0),
+        LinkRateModel::RandomJoin { sigma: 4.0 },
+    ];
+    let family = TopologyFamily::KaryTree { arity: 3 };
+    let build = |rates| {
+        Scenario::builder()
+            .label("differential/layout")
+            .random_networks_with(family, 18, 5, 4)
+            .link_rates(rates)
+            .allocator(MultiRate::new())
+            .build()
+            .expect("valid layout scenario")
+    };
+    let seeds = 0..9u64;
+    let grid = SweepGrid::seeds(seeds.clone()).with_models(models);
+    let scenario = build(LinkRates::Efficient);
+    for threads in [1, 2, 7] {
+        let report = scenario.sweep_grid_par(&grid, threads);
+        let blocks: Vec<_> = report.points.chunks(seeds.clone().count()).collect();
+        assert_eq!(blocks.len(), models.len());
+        for (m, (&model, block)) in models.iter().zip(blocks).enumerate() {
+            let single = build(LinkRates::Uniform(model)).sweep(seeds.clone());
+            assert_eq!(block.len(), single.points.len());
+            for (got, want) in block.iter().zip(&single.points) {
+                assert_eq!(got.model, Some(model), "block {m} at {threads} threads");
+                assert_eq!(got.seed, want.seed, "block {m} at {threads} threads");
+                assert_eq!(got.metrics, want.metrics, "block {m} at {threads} threads");
+                assert_eq!(
+                    got.properties_holding, want.properties_holding,
+                    "block {m} at {threads} threads"
+                );
+            }
+        }
+    }
+}
+
+#[test]
 fn fixed_network_sweeps_also_shard_cleanly() {
     // Fixed sources ignore seeds, but the executor path is shared; a
     // layered scenario exercises the report-side state too.
