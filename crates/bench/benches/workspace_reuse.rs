@@ -5,7 +5,8 @@
 //!
 //! Alongside wall-clock timings, a counting global allocator reports heap
 //! allocations **per solve** for both paths — the number the workspace
-//! design exists to cut.
+//! design exists to cut — and the workspace reports the bisection halvings
+//! per solve, the deterministic unit of RandomJoin solver work.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use mlf_core::allocator::{Allocator, Hybrid, SolverWorkspace};
@@ -75,8 +76,14 @@ fn report_allocation_counts(nets: &[Network], cfg: &LinkRateConfig) {
     let mut ws = SolverWorkspace::new();
     // Warm the workspace so steady-state reuse is measured, then compare.
     let (warm_total, _) = allocations_during(|| workspace_sweep(nets, &allocator, &mut ws));
+    let warm_halvings = ws.bisection_halvings();
     let (reused_total, reused_allocs) =
         allocations_during(|| workspace_sweep(nets, &allocator, &mut ws));
+    assert_eq!(
+        ws.bisection_halvings(),
+        2 * warm_halvings,
+        "identical sweeps do identical solver work"
+    );
     let (fresh_total, fresh_allocs) = allocations_during(|| fresh_sweep(nets, cfg));
     assert_eq!(warm_total, reused_total);
     assert_eq!(reused_total, fresh_total, "paths must agree");
@@ -87,6 +94,10 @@ fn report_allocation_counts(nets: &[Network], cfg: &LinkRateConfig) {
         fresh_allocs / n,
         reused_allocs / n,
         fresh_allocs as f64 / reused_allocs.max(1) as f64
+    );
+    println!(
+        "bisection halvings/solve over the same sweep: {:.1}",
+        warm_halvings as f64 / n as f64
     );
 }
 

@@ -55,6 +55,38 @@ const KNOBS: &[cli::Knob] = &[
     ),
 ];
 
+/// The Monte-Carlo confirmation points: `(config, receivers)`.
+const MC_POINTS: [(Figure5Config, usize); 6] = [
+    (Figure5Config::All01, 10),
+    (Figure5Config::All05, 10),
+    (Figure5Config::All09, 10),
+    (Figure5Config::First05Rest01, 10),
+    (Figure5Config::First09Rest01, 10),
+    (Figure5Config::All01, 50),
+];
+
+/// Refuse knob values that leave a run with no work or no packets to sample.
+fn check_knobs(mc_quanta: usize, mc_sigma: usize, sweep_seeds: u64) -> Result<(), String> {
+    if mc_quanta == 0 {
+        return Err("--mc-quanta must be at least 1".to_string());
+    }
+    // Every confirmation receiver needs a nonzero packet quota (this also
+    // refuses --mc-sigma 0).
+    let smallest = MC_POINTS
+        .iter()
+        .flat_map(|&(cfg, r)| cfg.rates(r))
+        .fold(f64::INFINITY, f64::min);
+    if (smallest * mc_sigma as f64).round() == 0.0 {
+        return Err(format!(
+            "--mc-sigma {mc_sigma} rounds the receiver rate {smallest} to a zero packet quota"
+        ));
+    }
+    if sweep_seeds == 0 {
+        return Err("--sweep-seeds must be at least 1".to_string());
+    }
+    Ok(())
+}
+
 fn main() {
     let args = Args::for_binary(
         "fig5_random_joins",
@@ -67,10 +99,7 @@ fn main() {
     let sweep_seeds: u64 = or_exit(args.get("sweep-seeds", 64));
     let threads: usize = or_exit(args.get("threads", 0));
     let checkpoint: String = or_exit(args.get("checkpoint", String::new()));
-    if sweep_seeds == 0 {
-        eprintln!("error: --sweep-seeds must be at least 1");
-        std::process::exit(2);
-    }
+    or_exit(check_knobs(mc_quanta, mc_sigma, sweep_seeds));
 
     // Log-spaced x-axis like the paper's log plot.
     let mut xs = vec![1usize, 2, 3, 4, 5, 7, 10, 14, 20, 30, 50, 70];
@@ -98,16 +127,10 @@ fn main() {
 
     println!("\nMonte-Carlo confirmation ({mc_sigma} packets/quantum, {mc_quanta} quanta):\n");
     let mut mc = Table::new(["config", "receivers", "analytic", "simulated"]);
-    for (cfg, r) in [
-        (Figure5Config::All01, 10usize),
-        (Figure5Config::All05, 10),
-        (Figure5Config::All09, 10),
-        (Figure5Config::First05Rest01, 10),
-        (Figure5Config::First09Rest01, 10),
-        (Figure5Config::All01, 50),
-    ] {
+    for (cfg, r) in MC_POINTS {
         let analytic = randomjoin::analytic_redundancy(&cfg.rates(r), 1.0);
-        let sim = randomjoin::monte_carlo_redundancy(cfg, r, mc_sigma, mc_quanta, 0x515);
+        let sim = randomjoin::monte_carlo_redundancy(cfg, r, mc_sigma, mc_quanta, 0x515)
+            .expect("check_knobs guarantees every receiver a nonzero quota");
         mc.row([
             cfg.label().to_string(),
             r.to_string(),

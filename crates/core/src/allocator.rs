@@ -106,6 +106,8 @@ pub struct SolverWorkspace {
     /// Total count of active receivers.
     pub(crate) active_total: usize,
     solves: u64,
+    /// Cumulative bisection halvings of the RandomJoin saturation search.
+    pub(crate) bisection_halvings: u64,
 }
 
 impl SolverWorkspace {
@@ -117,6 +119,14 @@ impl SolverWorkspace {
     /// How many solves this workspace has served (telemetry for benches).
     pub fn solves(&self) -> u64 {
         self.solves
+    }
+
+    /// How many bisection halvings the nonlinear (`RandomJoin`) saturation
+    /// search has run over every solve this workspace served. Cumulative
+    /// like [`SolverWorkspace::solves`] and deterministic: linear link-rate
+    /// models never bisect and leave it unchanged.
+    pub fn bisection_halvings(&self) -> u64 {
+        self.bisection_halvings
     }
 
     /// Size the per-receiver tables for `net` and reset them to the
@@ -693,6 +703,37 @@ mod tests {
             assert_eq!(warm.allocation.rates(), cold.rates(), "seed {seed}");
         }
         assert_eq!(ws.solves(), 10);
+    }
+
+    #[test]
+    fn bisection_halvings_count_only_random_join_searches() {
+        let net = random_network(7, 16, 5, 4).unwrap();
+        let m = net.session_count();
+        let mut ws = SolverWorkspace::new();
+        for model in [
+            LinkRateModel::Efficient,
+            LinkRateModel::Scaled(2.0),
+            LinkRateModel::Sum,
+        ] {
+            let _ = MultiRate::with_config(LinkRateConfig::uniform(m, model)).solve(&net, &mut ws);
+        }
+        let _ = Weighted::uniform().solve(&net, &mut ws);
+        assert_eq!(ws.bisection_halvings(), 0, "linear models never bisect");
+
+        let random_join = MultiRate::with_config(LinkRateConfig::uniform(
+            m,
+            LinkRateModel::RandomJoin { sigma: 6.0 },
+        ));
+        let _ = random_join.solve(&net, &mut ws);
+        let first = ws.bisection_halvings();
+        assert!(first > 0, "a RandomJoin solve bisects");
+        let _ = random_join.solve(&net, &mut ws);
+        assert_eq!(
+            ws.bisection_halvings(),
+            2 * first,
+            "identical solves add identical amounts"
+        );
+        assert_eq!(ws.solves(), 6);
     }
 
     #[test]

@@ -187,13 +187,14 @@ impl State<'_> {
         debug_assert!(upper.is_finite(), "session max rates are finite");
 
         // The next level is the smallest saturation level over all links
-        // (clamped to `upper`).
+        // (clamped to `upper`). The running minimum is each link's cut-off:
+        // a link that cannot go below it need not be solved exactly.
         let mut next = upper;
         for j in 0..self.net.link_count() {
             if self.ws.link_active[j] == 0 {
                 continue;
             }
-            let lj = self.link_saturation_level(j, upper);
+            let lj = self.link_saturation_level(j, upper, next);
             next = next.min(lj);
         }
         debug_assert!(
@@ -331,18 +332,42 @@ impl State<'_> {
                         max
                     };
                 }
-                LinkRateModel::Sum | LinkRateModel::RandomJoin { .. } => {
+                LinkRateModel::Sum => {
                     self.fill_slot_rates_at(slot, i, level);
                     total += self.cfg.model(i).link_rate(&self.ws.scratch);
+                }
+                LinkRateModel::RandomJoin { sigma } => {
+                    total += self.random_join_slot_rate(slot, i, sigma, level);
                 }
             }
         }
         total
     }
 
+    /// The `RandomJoin` rate `σ(1 − ∏(1 − a_t/σ))` of slot `slot` (session
+    /// `i`) at hypothetical level `ℓ`, read in place from the index.
+    ///
+    /// Bitwise equal to [`LinkRateModel::link_rate`] on the slot's rates:
+    /// every factor is the same expression, multiplied in the same
+    /// ascending-receiver order. Active receivers all sit at `ℓ`, so their
+    /// shared factor is computed once per slot.
+    fn random_join_slot_rate(&self, slot: usize, i: usize, sigma: f64, level: f64) -> f64 {
+        debug_assert!(sigma > 0.0, "layer rate must be positive");
+        let active_miss = 1.0 - level.min(sigma).max(0.0) / sigma;
+        let mut miss_all = 1.0;
+        for &k in self.ws.index.slot_receivers(slot) {
+            miss_all *= if self.ws.active[i][k] {
+                active_miss
+            } else {
+                1.0 - self.ws.rates[i][k].min(sigma).max(0.0) / sigma
+            };
+        }
+        sigma * (1.0 - miss_all)
+    }
+
     /// Whether raising the level marginally above the current value would
     /// raise the slot session's rate on its link (the free-rider test).
-    fn session_marginal_on(&mut self, slot: usize, i: usize) -> bool {
+    fn session_marginal_on(&self, slot: usize, i: usize) -> bool {
         if self.ws.slot_active[slot] == 0 {
             return false;
         }
@@ -353,19 +378,19 @@ impl State<'_> {
                 self.level >= self.ws.slot_frozen_max[slot] - RATE_EPS
             }
             LinkRateModel::Sum => true,
-            LinkRateModel::RandomJoin { .. } => {
+            LinkRateModel::RandomJoin { sigma } => {
                 let delta = (self.level.abs() + 1.0) * 1e-7;
-                self.fill_slot_rates_at(slot, i, self.level);
-                let now = self.cfg.model(i).link_rate(&self.ws.scratch);
-                self.fill_slot_rates_at(slot, i, self.level + delta);
-                let bumped = self.cfg.model(i).link_rate(&self.ws.scratch);
+                let now = self.random_join_slot_rate(slot, i, sigma, self.level);
+                let bumped = self.random_join_slot_rate(slot, i, sigma, self.level + delta);
                 bumped > now + RATE_EPS * delta
             }
         }
     }
 
-    /// The largest level `ℓ ∈ [self.level, upper]` with `u_j(ℓ) ≤ c_j`.
-    fn link_saturation_level(&mut self, j: usize, upper: f64) -> f64 {
+    /// The largest level `ℓ ∈ [self.level, upper]` with `u_j(ℓ) ≤ c_j`, or
+    /// any level `≥ cutoff` when that largest level is not below `cutoff`
+    /// (see [`State::saturation_level_bisect`]).
+    fn link_saturation_level(&mut self, j: usize, upper: f64, cutoff: f64) -> f64 {
         let cap = self.net.graph().capacity(LinkId(j));
         // Sessions crossing j: are they all piecewise-linear?
         let linear = self.ws.index.link_slots(j).all(|slot| {
@@ -376,7 +401,7 @@ impl State<'_> {
         if linear {
             self.saturation_level_linear(j, upper, cap)
         } else {
-            self.saturation_level_bisect(j, upper, cap)
+            self.saturation_level_bisect(j, upper, cap, cutoff)
         }
     }
 
@@ -461,9 +486,28 @@ impl State<'_> {
         upper // never saturates before the cap
     }
 
-    /// Monotone bisection fallback for nonlinear (RandomJoin) loads.
-    fn saturation_level_bisect(&mut self, j: usize, upper: f64, cap: f64) -> f64 {
+    /// Monotone bisection fallback for nonlinear (RandomJoin) loads, cut
+    /// off at `cutoff`: the caller's running minimum over the links
+    /// already solved in this step.
+    ///
+    /// The search keeps two invariants: `u_j(lo) ≤ c_j`, and `lo` only
+    /// rises from `self.level`. Its result is therefore never below `lo`,
+    /// and once `lo ≥ cutoff` the caller's `next.min(result)` is `next`
+    /// whatever the remaining halvings would find. So the search returns
+    /// `cutoff` at once when `self.level ≥ cutoff` (a link already
+    /// saturated at the current level means no later link bisects in this
+    /// step), and stops halving as soon as `lo ≥ cutoff`. It returns
+    /// `cutoff` itself, not `lo`, so `next.min` keeps `next`'s bits even
+    /// for a signed zero. Below the
+    /// cut-off every evaluation is the uncut search's, so the water level,
+    /// the freeze reasons and the iteration count keep every bit of
+    /// [`crate::reference`]; only [`SolverWorkspace::bisection_halvings`]
+    /// counts fewer halvings.
+    fn saturation_level_bisect(&mut self, j: usize, upper: f64, cap: f64, cutoff: f64) -> f64 {
         let mut lo = self.level;
+        if lo >= cutoff {
+            return cutoff;
+        }
         if self.link_load_at(j, upper) <= cap + RATE_EPS {
             return upper;
         }
@@ -477,9 +521,13 @@ impl State<'_> {
         }
         let mut hi = upper;
         for _ in 0..200 {
+            self.ws.bisection_halvings += 1;
             let mid = 0.5 * (lo + hi);
             if self.link_load_at(j, mid) <= cap {
                 lo = mid;
+                if lo >= cutoff {
+                    return cutoff;
+                }
             } else {
                 hi = mid;
             }

@@ -118,21 +118,23 @@ pub fn figure5_series(receiver_counts: &[usize]) -> Vec<Figure5Point> {
 /// measure the long-term redundancy. Rates are scaled by `sigma_packets`
 /// and rounded to packet quotas, so choose `sigma_packets` to make the
 /// rates integral (the Figure 5 configs are integral at multiples of 10).
+///
+/// Returns `None` when no receiver collects a packet: `quanta` is 0, or
+/// every scaled quota rounds to zero (e.g. `sigma_packets` = 2 for the
+/// `All 0.1` config).
 pub fn monte_carlo_redundancy(
     config: Figure5Config,
     receivers: usize,
     sigma_packets: usize,
     quanta: usize,
     seed: u64,
-) -> f64 {
+) -> Option<f64> {
     let quotas: Vec<usize> = config
         .rates(receivers)
         .iter()
         .map(|a| (a * sigma_packets as f64).round() as usize)
         .collect();
     long_term_redundancy(&quotas, sigma_packets, quanta, SelectionMode::Random, seed)
-        // mlf-lint: allow(panic-unwrap, reason = "Figure 5 rate configs are strictly positive, so the scaled quotas are nonzero for any documented sigma_packets choice")
-        .expect("nonzero quotas")
 }
 
 #[cfg(test)]
@@ -207,6 +209,15 @@ mod tests {
     }
 
     #[test]
+    fn monte_carlo_without_packets_is_none() {
+        // No quanta, no packets, and 0.1 × 2 packets rounding to zero.
+        for (sigma_packets, quanta) in [(100, 0), (0, 10), (2, 10)] {
+            let mc = monte_carlo_redundancy(Figure5Config::All01, 4, sigma_packets, quanta, 1);
+            assert_eq!(mc, None, "σ = {sigma_packets} packets, {quanta} quanta");
+        }
+    }
+
+    #[test]
     fn monte_carlo_agrees_with_closed_form() {
         // Spot-check three points with enough quanta for ~1% accuracy.
         for (cfg, r) in [
@@ -215,7 +226,7 @@ mod tests {
             (Figure5Config::First09Rest01, 5),
         ] {
             let analytic = analytic_redundancy(&cfg.rates(r), 1.0);
-            let mc = monte_carlo_redundancy(cfg, r, 100, 300, 1234);
+            let mc = monte_carlo_redundancy(cfg, r, 100, 300, 1234).unwrap();
             assert!(
                 (mc - analytic).abs() / analytic < 0.03,
                 "{} r={r}: mc {mc} vs analytic {analytic}",

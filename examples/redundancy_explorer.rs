@@ -28,7 +28,8 @@ fn main() {
     println!("\n== 2. Monte-Carlo confirmation (σ = 100 packets, 200 quanta) ==\n");
     for (cfg, r) in [(Figure5Config::All05, 4usize), (Figure5Config::All01, 20)] {
         let analytic = randomjoin::analytic_redundancy(&cfg.rates(r), 1.0);
-        let mc = randomjoin::monte_carlo_redundancy(cfg, r, 100, 200, 2024);
+        let mc = randomjoin::monte_carlo_redundancy(cfg, r, 100, 200, 2024)
+            .expect("100 packets per quantum give every receiver a nonzero quota");
         println!(
             "  {} with {r} receivers: analytic {analytic:.3}, simulated {mc:.3}",
             cfg.label()

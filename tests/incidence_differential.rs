@@ -16,6 +16,9 @@ use mlf_net::topology::{random_network_with, random_tree, SplitMix64};
 use mlf_net::{Network, NodeId, Session, SessionId, SessionType, TopologyFamily};
 use proptest::prelude::*;
 
+mod common;
+use common::assert_bitwise;
+
 const FAMILIES: [TopologyFamily; 4] = [
     TopologyFamily::FlatTree,
     TopologyFamily::KaryTree { arity: 3 },
@@ -29,33 +32,6 @@ const MODELS: [LinkRateModel; 4] = [
     LinkRateModel::Sum,
     LinkRateModel::RandomJoin { sigma: 4.0 },
 ];
-
-fn assert_bitwise(
-    label: &str,
-    optimized: &mlf_core::MaxMinSolution,
-    reference: &mlf_core::MaxMinSolution,
-) {
-    // PartialEq on MaxMinSolution compares f64 rates by value; spell the
-    // bit-level comparison out so -0.0/0.0 or NaN drift cannot hide.
-    assert_eq!(
-        optimized.iterations, reference.iterations,
-        "{label}: iteration counts diverged"
-    );
-    assert_eq!(optimized.reasons, reference.reasons, "{label}: reasons");
-    let a = optimized.allocation.rates();
-    let b = reference.allocation.rates();
-    assert_eq!(a.len(), b.len(), "{label}: session count");
-    for (i, (ra, rb)) in a.iter().zip(b).enumerate() {
-        assert_eq!(ra.len(), rb.len(), "{label}: receiver count of s{i}");
-        for (k, (x, y)) in ra.iter().zip(rb).enumerate() {
-            assert_eq!(
-                x.to_bits(),
-                y.to_bits(),
-                "{label}: r{i},{k} differs: {x} vs {y}"
-            );
-        }
-    }
-}
 
 /// A random network of the given family, with a deterministic sprinkle of
 /// single-rate sessions and κ caps derived from the seed.
