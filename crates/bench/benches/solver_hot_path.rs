@@ -1,90 +1,78 @@
-//! Benchmarks the incidence-indexed incremental solver core on
-//! solver-bound workloads — large GT-ITM-style transit–stub hierarchies and
-//! wide high-fanout k-ary trees, swept over a `seeds × link-rate models`
-//! grid.
+//! Gates the incidence-indexed solver on solver-bound workloads: large
+//! GT-ITM-style transit–stub hierarchies and wide high-fanout k-ary trees,
+//! swept over a `seeds × link-rate models` grid of the three linear models
+//! (Efficient, Scaled(2) and Sum).
 //!
-//! Two things are recorded:
+//! 1. **Determinism**: each workload's parallel grid sweep is asserted
+//!    bitwise identical to the serial one at 2 and 4 threads.
+//! 2. **Linear solve floors**: per model, over both workloads' networks,
+//!    every optimized solve is asserted bitwise equal to the frozen
+//!    `mlf_core::reference::solve_in`, then the reference must take at
+//!    least the model's floor in [`FLOORS`] times as long as the optimized
+//!    solver.
 //!
-//! 1. **Correctness, always**: the parallel grid sweep is asserted bitwise
-//!    identical to the serial one before any timing runs.
-//! 2. **Throughput artifact**: the grid sweep's points-per-second — the
-//!    number that tracks raw solver hot-path cost (topology build, index
-//!    build and progressive filling) — is written as
-//!    `BENCH_solver_hot_path.json` for the CI regression gate.
+//! `cargo bench -p mlf-bench --bench solver_hot_path`
 
-use criterion::{criterion_group, criterion_main, Criterion};
-use mlf_bench::or_exit;
-use mlf_bench::regression::{check_mode, measure_and_emit};
-use mlf_core::allocator::MultiRate;
-use mlf_core::LinkRateModel;
-use mlf_net::TopologyFamily;
-use mlf_scenario::{Scenario, SweepGrid, SweepReport};
+use mlf_bench::paired::{assert_bitwise, assert_floor, median_time_ratio};
+use mlf_core::allocator::{Allocator, MultiRate, SolverWorkspace};
+use mlf_core::{reference, LinkRateConfig, LinkRateModel, Regimes};
+use mlf_net::topology::random_network_with;
+use mlf_net::{Network, SessionType, TopologyFamily};
+use mlf_scenario::{Scenario, SweepGrid};
 use std::hint::black_box;
+use std::ops::Range;
 
-/// One solver-bound workload: a topology family at scale plus a model grid.
+/// Each linear model with its least reference/optimized solve time.
+/// Calibrated on a 2-core x86-64 container, where the medians on the code
+/// as it stands were 2.54-2.82 (Efficient), 2.33-2.58 (Scaled) and
+/// 2.10-2.24 (Sum): each floor catches a solve 1.43x as slow from the top
+/// of its model's range.
+const FLOORS: [(LinkRateModel, f64); 3] = [
+    (LinkRateModel::Efficient, 2.2),
+    (LinkRateModel::Scaled(2.0), 2.0),
+    (LinkRateModel::Sum, 1.8),
+];
+
+/// One solver-bound workload: a topology family at scale.
 struct Workload {
     label: &'static str,
     family: TopologyFamily,
     nodes: usize,
     sessions: usize,
     max_receivers: usize,
-    grid: SweepGrid,
 }
 
-fn workloads() -> Vec<Workload> {
-    let models = [
-        LinkRateModel::Efficient,
-        LinkRateModel::Scaled(2.0),
-        LinkRateModel::Sum,
-    ];
-    vec![
-        Workload {
-            label: "transit-stub-96",
-            family: TopologyFamily::TransitStub { transit: 8 },
-            nodes: 96,
-            sessions: 12,
-            max_receivers: 6,
-            grid: SweepGrid::seeds(0..24).with_models(models),
-        },
-        Workload {
-            label: "kary-85",
-            family: TopologyFamily::KaryTree { arity: 4 },
-            nodes: 85,
-            sessions: 10,
-            max_receivers: 8,
-            grid: SweepGrid::seeds(0..24).with_models(models),
-        },
-    ]
-}
+const SEEDS: Range<u64> = 0..24;
 
-fn scenario_for(w: &Workload) -> Scenario {
-    Scenario::builder()
-        .label(format!("solver-hot-path/{}", w.label))
-        .random_networks_with(w.family, w.nodes, w.sessions, w.max_receivers)
-        .allocator(MultiRate::new())
-        .build()
-        .expect("valid hot-path scenario")
-}
+const WORKLOADS: [Workload; 2] = [
+    Workload {
+        label: "transit-stub-96",
+        family: TopologyFamily::TransitStub { transit: 8 },
+        nodes: 96,
+        sessions: 12,
+        max_receivers: 6,
+    },
+    Workload {
+        label: "kary-85",
+        family: TopologyFamily::KaryTree { arity: 4 },
+        nodes: 85,
+        sessions: 10,
+        max_receivers: 8,
+    },
+];
 
-fn total_points(ws: &[Workload]) -> u64 {
-    ws.iter()
-        .map(|w| (w.grid.seeds.len() * w.grid.models.len()) as u64)
-        .sum()
-}
-
-/// One pass over every workload, on fresh scenarios.
-fn sweep_fresh(ws: &[Workload]) -> Vec<SweepReport> {
-    ws.iter()
-        .map(|w| scenario_for(w).sweep_grid(&w.grid))
-        .collect()
-}
-
-fn assert_parallel_agreement(ws: &[Workload]) {
-    for w in ws {
-        let mut scenario = scenario_for(w);
-        let serial = scenario.sweep_grid(&w.grid);
+fn assert_parallel_agreement() {
+    let grid = SweepGrid::seeds(SEEDS).with_models(FLOORS.map(|(model, _)| model));
+    for w in &WORKLOADS {
+        let mut scenario = Scenario::builder()
+            .label(format!("solver-hot-path/{}", w.label))
+            .random_networks_with(w.family, w.nodes, w.sessions, w.max_receivers)
+            .allocator(MultiRate::new())
+            .build()
+            .expect("valid hot-path scenario");
+        let serial = scenario.sweep_grid(&grid);
         for threads in [2usize, 4] {
-            let par = scenario.sweep_grid_par(&w.grid, threads);
+            let par = scenario.sweep_grid_par(&grid, threads);
             assert_eq!(
                 serial, par,
                 "{}: parallel diverged at {threads} threads",
@@ -94,37 +82,61 @@ fn assert_parallel_agreement(ws: &[Workload]) {
     }
     println!(
         "determinism: parallel grid sweeps bitwise-identical to serial across {} workloads",
-        ws.len()
+        WORKLOADS.len()
     );
 }
 
-fn bench_solver_hot_path(c: &mut Criterion) {
-    let ws = workloads();
-    assert_parallel_agreement(&ws);
-    let points = total_points(&ws);
-
-    // The gated number. Fresh scenario per pass, so every point pays
-    // topology build + index build + solve.
-    or_exit(measure_and_emit(
-        "solver_hot_path",
-        points,
-        "points",
-        || sweep_fresh(&ws).iter().map(|r| r.points.len()).sum(),
-    ));
-
-    if check_mode() {
-        println!("MLF_BENCH_CHECK=1: skipping criterion sampling");
-        return;
-    }
-
-    // Criterion samples on the first workload only.
-    let w = &ws[0];
-    let mut group = c.benchmark_group("solver/hot_path_grid");
-    group.bench_function("cold", |b| {
-        b.iter(|| black_box(scenario_for(w).sweep_grid(&w.grid).points.len()))
-    });
-    group.finish();
+/// Both workloads' networks, as the grid sweep builds them.
+fn networks() -> Vec<Network> {
+    WORKLOADS
+        .iter()
+        .flat_map(|w| {
+            SEEDS.map(move |seed| {
+                random_network_with(w.family, seed, w.nodes, w.sessions, w.max_receivers)
+                    .expect("workload shapes are valid")
+            })
+        })
+        .collect()
 }
 
-criterion_group!(benches, bench_solver_hot_path);
-criterion_main!(benches);
+fn main() {
+    assert_parallel_agreement();
+
+    let nets = networks();
+    let regimes = Regimes::Uniform(SessionType::MultiRate);
+    let mut ws = SolverWorkspace::new();
+    for (model, floor) in FLOORS {
+        let cfgs: Vec<_> = nets
+            .iter()
+            .map(|net| LinkRateConfig::uniform(net.session_count(), model))
+            .collect();
+        for (i, (net, cfg)) in nets.iter().zip(&cfgs).enumerate() {
+            let solved = MultiRate::new()
+                .solve_with(net, cfg, &mut ws)
+                .expect("MultiRate takes link-rate configs");
+            let label = format!("{model:?} network {i}");
+            assert_bitwise(&label, &solved, &reference::solve_in(net, cfg, &regimes));
+        }
+        println!(
+            "bitwise: optimized {model:?} solves equal the reference on all {} networks",
+            nets.len()
+        );
+        let ratio = median_time_ratio(
+            || {
+                for (net, cfg) in nets.iter().zip(&cfgs) {
+                    black_box(reference::solve_in(net, cfg, &regimes));
+                }
+            },
+            || {
+                for (net, cfg) in nets.iter().zip(&cfgs) {
+                    black_box(MultiRate::new().solve_with(net, cfg, &mut ws));
+                }
+            },
+        );
+        assert_floor(
+            &format!("{model:?}-solve reference/optimized"),
+            ratio,
+            floor,
+        );
+    }
+}

@@ -3,25 +3,15 @@
 //! loss 0.05) for 500k slots per protocol, indexed engine versus the frozen
 //! pre-index reference (`mlf_sim::reference`).
 //!
-//! Three things happen, in order:
+//! 1. **Determinism**: every protocol's indexed run is asserted bitwise
+//!    identical (whole `StarReport`) to the reference run.
+//! 2. **Speed-up floor**: over all three protocols, the reference must
+//!    take at least [`STAR_FLOOR`] times as long as the indexed engine
+//!    (scratch reused, as in a trial loop).
 //!
-//! 1. **Correctness, always**: every protocol's indexed run is asserted
-//!    bitwise identical (whole `StarReport`) to the reference run before
-//!    any timing — an engine-determinism regression fails the bench run
-//!    itself, which is why CI executes this bench.
-//! 2. **Throughput artifact + speedup floor**: the indexed engine is timed
-//!    best-of-three over all three protocols and written as
-//!    `BENCH_star_engine.json` (the gated "points" are slots; the metric is
-//!    slots/second), then the reference is timed the same way and the
-//!    indexed engine is asserted **≥ 3x** faster — the tentpole's
-//!    acceptance bar (measured ~5–13x depending on protocol).
-//! 3. **Criterion sampling**: per-protocol indexed-vs-reference samples —
-//!    skipped when `MLF_BENCH_CHECK=1` (CI check mode), where the
-//!    determinism assert, the artifact, and the 3x floor are the point.
+//! `cargo bench -p mlf-bench --bench star_engine`
 
-use criterion::{criterion_group, criterion_main, Criterion};
-use mlf_bench::or_exit;
-use mlf_bench::regression::{check_mode, measure_and_emit, time_best_of_three};
+use mlf_bench::paired::{assert_floor, median_time_ratio};
 use mlf_protocols::{make_receiver, CoordinatedSender, ProtocolKind};
 use mlf_sim::engine::{MarkerSource, NoMarkers, ReceiverController, StarConfig, StarReport};
 use mlf_sim::{reference, run_star_into, SimRng, StarScratch, Tick};
@@ -31,6 +21,11 @@ const RECEIVERS: usize = 100;
 const LAYERS: usize = 8;
 const SLOTS: u64 = 500_000;
 const SEED: u64 = 0x51_66_C0_99;
+
+/// Least reference/indexed time. Measured 4.6-5.2x on a 2-core x86-64
+/// container; an indexed engine 1.41x as slow read 3.3-3.4. The engine's
+/// acceptance bar was 3x.
+const STAR_FLOOR: f64 = 4.0;
 
 enum Markers {
     None(NoMarkers),
@@ -100,70 +95,27 @@ fn assert_engines_agree(cfg: &StarConfig) {
     );
 }
 
-fn bench_star_engine(c: &mut Criterion) {
+fn main() {
     let cfg = paper_config();
     assert_engines_agree(&cfg);
 
-    // Gated throughput: total slots across the three protocols per pass of
-    // the indexed engine (scratch reused, as in a trial loop).
-    let total_slots = SLOTS * ProtocolKind::ALL.len() as u64;
-    let indexed = or_exit(measure_and_emit(
-        "star_engine",
-        total_slots,
-        "slots",
-        || {
-            let mut report = StarReport::default();
-            let mut scratch = StarScratch::default();
-            let mut sum = 0usize;
-            for kind in ProtocolKind::ALL {
-                run_indexed(&cfg, kind, SLOTS, &mut report, &mut scratch);
-                sum += report.final_levels.len();
-            }
-            black_box(sum)
-        },
-    ));
-    let indexed_sps = total_slots as f64 / indexed.as_secs_f64();
-
-    let cold = time_best_of_three(|| {
-        ProtocolKind::ALL
-            .iter()
-            .map(|&kind| run_reference(&cfg, kind, SLOTS).final_levels.len())
-            .sum()
-    });
-    let cold_sps = total_slots as f64 / cold.as_secs_f64();
-    let speedup = indexed_sps / cold_sps;
-    println!(
-        "star engine: indexed {indexed_sps:.0} slots/s vs reference {cold_sps:.0} slots/s \
-         ({speedup:.2}x; indexed {indexed:?}, reference {cold:?} over {total_slots} slots)"
+    let mut report = StarReport::default();
+    let mut scratch = StarScratch::default();
+    assert_floor(
+        "star-engine reference/indexed",
+        median_time_ratio(
+            || {
+                for kind in ProtocolKind::ALL {
+                    black_box(run_reference(&cfg, kind, SLOTS));
+                }
+            },
+            || {
+                for kind in ProtocolKind::ALL {
+                    run_indexed(&cfg, kind, SLOTS, &mut report, &mut scratch);
+                }
+                black_box(&report);
+            },
+        ),
+        STAR_FLOOR,
     );
-    assert!(
-        speedup >= 3.0,
-        "level-indexed engine must be >= 3x the reference at paper scale, got {speedup:.2}x"
-    );
-
-    if check_mode() {
-        println!("MLF_BENCH_CHECK=1: skipping criterion sampling");
-        return;
-    }
-
-    // Criterion samples at a reduced slot budget per protocol.
-    let mut group = c.benchmark_group("sim/star_engine_paper_scale");
-    let sample_slots = 50_000u64;
-    for kind in ProtocolKind::ALL {
-        group.bench_function(format!("indexed_{}", kind.label()), |b| {
-            let mut report = StarReport::default();
-            let mut scratch = StarScratch::default();
-            b.iter(|| {
-                run_indexed(&cfg, kind, sample_slots, &mut report, &mut scratch);
-                black_box(report.shared_carried)
-            })
-        });
-        group.bench_function(format!("reference_{}", kind.label()), |b| {
-            b.iter(|| black_box(run_reference(&cfg, kind, sample_slots).shared_carried))
-        });
-    }
-    group.finish();
 }
-
-criterion_group!(benches, bench_star_engine);
-criterion_main!(benches);

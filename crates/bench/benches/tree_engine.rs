@@ -1,32 +1,21 @@
-//! Benchmarks the per-link bitset tree engine tentpole at six-figure
-//! scale: a complete 10-ary tree of depth 5 (100,000 leaf receivers,
-//! 111,110 links, one multi-rate session) with an 8-layer exponential
-//! ladder, bitset engine versus the frozen pre-bitset reference
-//! (`mlf_sim::reference_tree`).
+//! Benchmarks the per-link bitset tree engine tentpole up to six-figure
+//! scale: complete trees (one multi-rate session, every leaf a
+//! receiver) with an 8-layer exponential ladder, bitset engine versus the
+//! frozen pre-bitset reference (`mlf_sim::reference_tree`).
 //!
-//! Three things happen, in order:
+//! 1. **Determinism**: every protocol's bitset run is asserted bitwise
+//!    identical (whole `TreeReport`) to the reference run on a moderate
+//!    4-ary depth-4 tree (256 receivers). The workspace differential covers
+//!    the same claim across random shapes; this is the bench-shaped pin.
+//! 2. **Speed-up floors**: over all three protocols, the reference's time
+//!    per slot must be at least [`Floor::floor`] times the bitset
+//!    engine's, on that tree ([`REGRESSION`]) and at 10⁵ receivers
+//!    ([`ACCEPTANCE`]). The reference is O(links × downstream) per slot,
+//!    so at 10⁵ it runs a shorter slot budget.
 //!
-//! 1. **Correctness, always**: every protocol's bitset run is asserted
-//!    bitwise identical (whole `TreeReport`) to the reference run on a
-//!    moderate 4-ary depth-4 tree (256 receivers) before any timing — an
-//!    engine-determinism regression fails the bench run itself, which is
-//!    why CI executes this bench. (The workspace differential covers the
-//!    same claim across random shapes; this is the bench-shaped pin.)
-//! 2. **Throughput artifact + speedup floor**: the bitset engine is timed
-//!    best-of-three over all three protocols at the full 10⁵-receiver
-//!    scale and written as `BENCH_tree_engine.json` (the gated "points"
-//!    are slots; the metric is slots/second), then the reference is timed
-//!    the same way at a reduced slot budget — it is O(links × downstream)
-//!    per slot — and the bitset engine is asserted **≥ 5x** faster, the
-//!    tentpole's acceptance bar (measured orders of magnitude beyond it).
-//! 3. **Criterion sampling**: per-protocol bitset-vs-reference samples at
-//!    the moderate scale — skipped when `MLF_BENCH_CHECK=1` (CI check
-//!    mode), where the determinism assert, the artifact, and the 5x floor
-//!    are the point.
+//! `cargo bench -p mlf-bench --bench tree_engine`
 
-use criterion::{criterion_group, criterion_main, Criterion};
-use mlf_bench::or_exit;
-use mlf_bench::regression::{check_mode, measure_and_emit, time_best_of_three};
+use mlf_bench::paired::{assert_floor, median_time_ratio};
 use mlf_net::{Graph, LinkId, Network, Session};
 use mlf_protocols::{make_receiver, CoordinatedSender, ProtocolKind};
 use mlf_sim::engine::{MarkerSource, NoMarkers, ReceiverController};
@@ -37,18 +26,44 @@ use std::hint::black_box;
 const LAYERS: usize = 8;
 const SEED: u64 = 0x51_66_C0_99;
 
-/// Full-scale shape: 10-ary, depth 5 → 10⁵ leaf receivers.
-const BIG_ARITY: usize = 10;
-const BIG_DEPTH: usize = 5;
-const BIG_SLOTS: u64 = 16_384;
-/// The reference at full scale costs ~10⁶ receiver/route checks per slot;
-/// a reduced budget keeps its best-of-three timing to seconds.
-const BIG_REF_SLOTS: u64 = 128;
+/// A speed-up floor on one complete `arity`-ary tree of `depth`: the
+/// bitset engine runs `slots` per protocol, the reference `ref_slots`.
+struct Floor {
+    gate: &'static str,
+    arity: usize,
+    depth: usize,
+    slots: u64,
+    ref_slots: u64,
+    floor: f64,
+}
 
-/// Moderate shape for the always-on bitwise assert and criterion samples.
-const MID_ARITY: usize = 4;
-const MID_DEPTH: usize = 4;
-const MID_SLOTS: u64 = 20_000;
+/// The bitwise assert and the regression floor, on a 4-ary depth-4 tree
+/// (256 receivers), both engines over the same 20,000 slots. Measured
+/// 8.4-10.1x on a 2-core x86-64 container; a bitset engine 1.41x as slow
+/// read 6.2-6.9.
+const REGRESSION: Floor = Floor {
+    gate: "tree-engine reference/bitset per slot, 256 receivers",
+    arity: 4,
+    depth: 4,
+    slots: 20_000,
+    ref_slots: 20_000,
+    floor: 7.5,
+};
+
+/// The engine's acceptance bar, at 10⁵ receivers (111,110 links). Measured
+/// 7.8-11.1x on the same container: the reference's time per repetition
+/// swings by half at this scale, which leaves no constant that passes the
+/// unchanged engine and fails one 1.43x as slow. The reference costs ~10⁶
+/// receiver/route checks per slot here; 128 slots keep a repetition under
+/// a second.
+const ACCEPTANCE: Floor = Floor {
+    gate: "tree-engine reference/bitset per slot, 1e5 receivers",
+    arity: 10,
+    depth: 5,
+    slots: 2048,
+    ref_slots: 128,
+    floor: 5.0,
+};
 
 enum Markers {
     None(NoMarkers),
@@ -143,12 +158,12 @@ fn run_reference(net: &Network, cfg: &TreeConfig, kind: ProtocolKind, slots: u64
     reference_tree::run_tree(net, cfg, &mut ctls, &mut mk, slots, SEED)
 }
 
-fn assert_engines_agree(net: &Network, cfg: &TreeConfig) {
+fn assert_engines_agree(net: &Network, cfg: &TreeConfig, slots: u64) {
     let mut report = TreeReport::empty();
     let mut scratch = TreeScratch::default();
     for kind in ProtocolKind::ALL {
-        run_bitset(net, cfg, kind, MID_SLOTS, &mut report, &mut scratch);
-        let reference = run_reference(net, cfg, kind, MID_SLOTS);
+        run_bitset(net, cfg, kind, slots, &mut report, &mut scratch);
+        let reference = run_reference(net, cfg, kind, slots);
         assert_eq!(
             report,
             reference,
@@ -158,99 +173,40 @@ fn assert_engines_agree(net: &Network, cfg: &TreeConfig) {
     }
     println!(
         "determinism: bitset engine bitwise-identical to reference across all 3 protocols \
-         at {} receivers x {MID_SLOTS} slots",
+         at {} receivers x {slots} slots",
         receivers_of(net)
     );
 }
 
-fn bench_tree_engine(c: &mut Criterion) {
-    let mid = leaf_tree(MID_ARITY, MID_DEPTH);
-    let mid_cfg = config(&mid);
-    assert_engines_agree(&mid, &mid_cfg);
-
-    let big = leaf_tree(BIG_ARITY, BIG_DEPTH);
-    let big_cfg = config(&big);
-    println!(
-        "big tree: {} receivers, {} links",
-        receivers_of(&big),
-        big.link_count()
-    );
-
-    // Gated throughput: total slots across the three protocols per pass of
-    // the bitset engine (scratch reused, as in a trial loop).
-    let total_slots = BIG_SLOTS * ProtocolKind::ALL.len() as u64;
-    let bitset = or_exit(measure_and_emit(
-        "tree_engine",
-        total_slots,
-        "slots",
+/// Time both engines on `f`'s tree and assert its floor.
+fn assert_tree_floor(f: &Floor) {
+    let net = leaf_tree(f.arity, f.depth);
+    let cfg = config(&net);
+    let mut report = TreeReport::empty();
+    let mut scratch = TreeScratch::default();
+    let time_ratio = median_time_ratio(
         || {
-            let mut report = TreeReport::empty();
-            let mut scratch = TreeScratch::default();
-            let mut sum = 0usize;
             for kind in ProtocolKind::ALL {
-                run_bitset(&big, &big_cfg, kind, BIG_SLOTS, &mut report, &mut scratch);
-                sum += report.final_levels.len();
+                black_box(run_reference(&net, &cfg, kind, f.ref_slots));
             }
-            black_box(sum)
         },
-    ));
-    let bitset_sps = total_slots as f64 / bitset.as_secs_f64();
-
-    let ref_total_slots = BIG_REF_SLOTS * ProtocolKind::ALL.len() as u64;
-    let cold = time_best_of_three(|| {
-        ProtocolKind::ALL
-            .iter()
-            .map(|&kind| {
-                run_reference(&big, &big_cfg, kind, BIG_REF_SLOTS)
-                    .final_levels
-                    .len()
-            })
-            .sum()
-    });
-    let cold_sps = ref_total_slots as f64 / cold.as_secs_f64();
-    let speedup = bitset_sps / cold_sps;
-    println!(
-        "tree engine: bitset {bitset_sps:.0} slots/s vs reference {cold_sps:.0} slots/s \
-         ({speedup:.1}x; bitset {bitset:?} over {total_slots} slots, \
-         reference {cold:?} over {ref_total_slots} slots)"
+        || {
+            for kind in ProtocolKind::ALL {
+                run_bitset(&net, &cfg, kind, f.slots, &mut report, &mut scratch);
+            }
+            black_box(&report);
+        },
     );
-    assert!(
-        speedup >= 5.0,
-        "bitset tree engine must be >= 5x the reference at 1e5 receivers, got {speedup:.1}x"
+    assert_floor(
+        f.gate,
+        time_ratio * f.slots as f64 / f.ref_slots as f64,
+        f.floor,
     );
-
-    if check_mode() {
-        println!("MLF_BENCH_CHECK=1: skipping criterion sampling");
-        return;
-    }
-
-    // Criterion samples at the moderate scale (the reference would take
-    // minutes per sample at 10⁵ receivers).
-    let mut group = c.benchmark_group("sim/tree_engine_kary");
-    let bitset_slots = 10_000u64;
-    let reference_slots = 1_000u64;
-    for kind in ProtocolKind::ALL {
-        group.bench_function(format!("bitset_{}", kind.label()), |b| {
-            let mut report = TreeReport::empty();
-            let mut scratch = TreeScratch::default();
-            b.iter(|| {
-                run_bitset(
-                    &mid,
-                    &mid_cfg,
-                    kind,
-                    bitset_slots,
-                    &mut report,
-                    &mut scratch,
-                );
-                black_box(report.carried[0])
-            })
-        });
-        group.bench_function(format!("reference_{}", kind.label()), |b| {
-            b.iter(|| black_box(run_reference(&mid, &mid_cfg, kind, reference_slots).carried[0]))
-        });
-    }
-    group.finish();
 }
 
-criterion_group!(benches, bench_tree_engine);
-criterion_main!(benches);
+fn main() {
+    let net = leaf_tree(REGRESSION.arity, REGRESSION.depth);
+    assert_engines_agree(&net, &config(&net), REGRESSION.slots);
+    assert_tree_floor(&REGRESSION);
+    assert_tree_floor(&ACCEPTANCE);
+}

@@ -1,20 +1,21 @@
-//! Benchmarks the tentpole hot-path claim: `Allocator::solve` with a reused
+//! Checks the workspace hot-path claim: `Allocator::solve` with a reused
 //! `SolverWorkspace` vs a fresh workspace per call (`Allocator::allocate`),
 //! on the Figure 5 random-join sweep (RandomJoin link-rate models force the
 //! bisection solver, the allocator's most scratch-hungry code path).
 //!
-//! Alongside wall-clock timings, a counting global allocator reports heap
-//! allocations **per solve** for both paths — the number the workspace
-//! design exists to cut — and the workspace reports the bisection halvings
-//! per solve, the deterministic unit of RandomJoin solver work.
+//! A counting global allocator reports heap allocations **per solve** for
+//! both paths — the number the workspace design exists to cut — and the
+//! workspace reports the bisection halvings per solve, the deterministic
+//! unit of RandomJoin solver work. Both paths must agree, and two
+//! identical sweeps must do identical solver work. Nothing here is timed.
+//!
+//! `cargo bench -p mlf-bench --bench workspace_reuse`
 
-use criterion::{criterion_group, criterion_main, Criterion};
 use mlf_core::allocator::{Allocator, Hybrid, SolverWorkspace};
 use mlf_core::{LinkRateConfig, LinkRateModel};
 use mlf_net::topology::random_network;
 use mlf_net::Network;
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::hint::black_box;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 struct CountingAlloc;
@@ -101,37 +102,7 @@ fn report_allocation_counts(nets: &[Network], cfg: &LinkRateConfig) {
     );
 }
 
-fn bench_sweep(c: &mut Criterion) {
+fn main() {
     let (nets, cfg) = sweep_corpus();
     report_allocation_counts(&nets, &cfg);
-
-    let mut group = c.benchmark_group("allocator/fig5_random_join_sweep");
-    group.bench_function("fresh_per_call", |b| {
-        b.iter(|| black_box(fresh_sweep(&nets, &cfg)))
-    });
-    let allocator = Hybrid::as_declared().with_config(cfg.clone());
-    let mut ws = SolverWorkspace::new();
-    group.bench_function("reused_workspace", |b| {
-        b.iter(|| black_box(workspace_sweep(&nets, &allocator, &mut ws)))
-    });
-    group.finish();
 }
-
-fn bench_single_network_resolve(c: &mut Criterion) {
-    // The simulation-loop shape: the same network solved over and over.
-    let net = random_network(7, 40, 10, 5).unwrap();
-    let cfg = LinkRateConfig::efficient(10);
-    let allocator = Hybrid::as_declared().with_config(cfg.clone());
-    let mut ws = SolverWorkspace::new();
-    let mut group = c.benchmark_group("allocator/repeated_resolve_40n_10s");
-    group.bench_function("fresh_per_call", |b| {
-        b.iter(|| black_box(allocator.allocate(&net)))
-    });
-    group.bench_function("reused_workspace", |b| {
-        b.iter(|| black_box(allocator.solve(&net, &mut ws).allocation.total_rate()))
-    });
-    group.finish();
-}
-
-criterion_group!(benches, bench_sweep, bench_single_network_resolve);
-criterion_main!(benches);

@@ -9,7 +9,7 @@
 //!    [--trials 5] [--packets 30000] [--receivers 30] [--loss 0.03]`
 
 use mlf_bench::{cli, knob, or_exit, write_csv, Args, Table};
-use mlf_protocols::{make_receiver, CoordinatedSender, ProtocolKind};
+use mlf_protocols::{make_receiver, validate_loss, CoordinatedSender, ProtocolKind};
 use mlf_sim::{
     run_star, LossProcess, NoMarkers, ReceiverController, RunningStats, SimRng, StarConfig,
 };
@@ -31,6 +31,7 @@ fn main() {
     let packets: u64 = or_exit(args.get("packets", 30_000));
     let receivers: usize = or_exit(args.get("receivers", 30));
     let loss: f64 = or_exit(args.get("loss", 0.03));
+    or_exit(check_knobs(trials, packets, receivers, loss));
 
     println!(
         "Burst-loss ablation: average independent loss {loss}, shared 1e-4, \
@@ -71,6 +72,21 @@ fn main() {
 
     let path = write_csv(".", "ablation_burst", &t.records()).expect("csv");
     println!("series written to {}", path.display());
+}
+
+/// Refuse knob values that leave the table without trials, a trial without
+/// packets or receivers, or a loss that is not a probability.
+fn check_knobs(trials: usize, packets: u64, receivers: usize, loss: f64) -> Result<(), String> {
+    for (knob, value) in [
+        ("trials", trials as u64),
+        ("packets", packets),
+        ("receivers", receivers as u64),
+    ] {
+        if value == 0 {
+            return Err(format!("--{knob} must be at least 1"));
+        }
+    }
+    validate_loss("independent", loss).map_err(|e| e.to_string())
 }
 
 fn run_once(

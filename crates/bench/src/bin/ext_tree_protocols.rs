@@ -9,7 +9,7 @@
 
 use mlf_bench::{cli, knob, or_exit, write_csv, Args, Table};
 use mlf_net::{LinkId, Network, Session};
-use mlf_protocols::{make_receiver, CoordinatedSender, ProtocolKind};
+use mlf_protocols::{make_receiver, validate_loss, CoordinatedSender, ProtocolKind};
 use mlf_sim::{
     tree::{run_tree_expect, TreeConfig},
     LossProcess, NoMarkers, ReceiverController, RunningStats, SimRng,
@@ -32,6 +32,7 @@ fn main() {
     let loss: f64 = or_exit(args.get("loss", 0.03));
     let packets: u64 = or_exit(args.get("packets", 40_000));
     let trials: usize = or_exit(args.get("trials", 3));
+    or_exit(check_knobs(depth, loss, packets, trials));
 
     let (net, level_of_link) = binary_tree_session(depth);
     let leaves = net.session(mlf_net::SessionId(0)).receivers.len();
@@ -73,6 +74,22 @@ fn main() {
 
     let path = write_csv(".", "ext_tree_protocols", &t.records()).expect("csv");
     println!("series written to {}", path.display());
+}
+
+/// Refuse knob values that leave the tree without receivers, a trial
+/// without packets, the table without trials, or a loss that is not a
+/// probability.
+fn check_knobs(depth: usize, loss: f64, packets: u64, trials: usize) -> Result<(), String> {
+    for (knob, value) in [
+        ("depth", depth as u64),
+        ("packets", packets),
+        ("trials", trials as u64),
+    ] {
+        if value == 0 {
+            return Err(format!("--{knob} must be at least 1"));
+        }
+    }
+    validate_loss("per-link", loss).map_err(|e| e.to_string())
 }
 
 /// A complete binary tree of the given depth with one multi-rate session

@@ -23,6 +23,10 @@ fn main() {
         KNOBS,
     );
     let steps: usize = or_exit(args.get("steps", 19));
+    if steps < 2 {
+        eprintln!("error: --steps must be at least 2");
+        std::process::exit(2);
+    }
 
     println!("Figure 6: normalized fair rate vs redundancy v\n");
     let mut t = Table::new(["v", "m/n=0.01", "m/n=0.05", "m/n=0.1", "m/n=1"]);

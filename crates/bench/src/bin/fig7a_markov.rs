@@ -7,12 +7,32 @@
 //! `cargo run -p mlf-bench --bin fig7a_markov [--layers 8] [--loss 0.04]`
 
 use mlf_bench::{cli, knob, or_exit, write_csv, Args, Table};
-use mlf_protocols::{markov, ProtocolKind};
+use mlf_protocols::{markov, validate_loss, ProtocolKind};
 
 const KNOBS: &[cli::Knob] = &[
     knob("layers", "8", "number of layers in the ladder"),
     knob("loss", "0.04", "total per-receiver loss budget"),
 ];
+
+/// How the asymmetric sweep splits twice the loss budget between the two
+/// receivers: receiver 1 gets `split`, receiver 2 the rest.
+const SPLITS: [f64; 5] = [0.5, 0.4, 0.3, 0.2, 0.1];
+
+/// The most layers `markov::two_receiver_chain` builds a chain for.
+const MAX_LAYERS: usize = 12;
+
+/// Refuse a ladder the exact chain cannot hold, and a loss budget that puts
+/// any receiver of either sweep outside `[0, 1)`.
+fn check_knobs(layers: usize, loss: f64) -> Result<(), String> {
+    if !(1..=MAX_LAYERS).contains(&layers) {
+        return Err(format!(
+            "--layers must be between 1 and {MAX_LAYERS}, got {layers}"
+        ));
+    }
+    validate_loss("total", loss).map_err(|e| e.to_string())?;
+    let widest = 2.0 * loss * (1.0 - SPLITS[SPLITS.len() - 1]);
+    validate_loss("the asymmetric sweep's largest", widest).map_err(|e| e.to_string())
+}
 
 fn main() {
     let args = Args::for_binary(
@@ -22,6 +42,7 @@ fn main() {
     );
     let layers: usize = or_exit(args.get("layers", 8));
     let loss: f64 = or_exit(args.get("loss", 0.04));
+    or_exit(check_knobs(layers, loss));
 
     println!("Two-receiver star, {layers} layers, total per-receiver loss ≈ {loss}\n");
 
@@ -51,7 +72,7 @@ fn main() {
     // Sweep 2: asymmetry between the two receivers' independent losses.
     println!("-- asymmetric independent loss, fixed total --\n");
     let mut t2 = Table::new(["p1", "p2", "Uncoordinated", "Coordinated"]);
-    for split in [0.5, 0.4, 0.3, 0.2, 0.1] {
+    for split in SPLITS {
         let p1 = 2.0 * loss * split;
         let p2 = 2.0 * loss * (1.0 - split);
         let u = markov::two_receiver_chain(ProtocolKind::Uncoordinated, layers, 1e-4, p1, p2)

@@ -15,6 +15,10 @@ fn main() {
         KNOBS,
     );
     let capacity: f64 = or_exit(args.get("capacity", 6.0));
+    if !(capacity.is_finite() && capacity > 0.0) {
+        eprintln!("error: --capacity must be positive and finite, got {capacity}");
+        std::process::exit(2);
+    }
 
     let analysis = fixed::section3_example(capacity);
     println!(

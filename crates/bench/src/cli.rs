@@ -146,9 +146,8 @@ impl Args {
 }
 
 /// Unwrap a result or print the error and exit with status 2 — the
-/// binaries' error funnel for post-parse failures: bad values
-/// ([`CliError`]) and artifact IO ([`crate::regression::RecordError`])
-/// alike.
+/// binaries' error funnel for post-parse failures, such as a value the
+/// knob's domain refuses.
 pub fn or_exit<T, E: fmt::Display>(result: Result<T, E>) -> T {
     match result {
         Ok(v) => v,

@@ -1,33 +1,32 @@
 //! # mlf-bench — figure regeneration and benchmarks
 //!
-//! One binary per table/figure of the paper (see `src/bin/`), plus Criterion
-//! benchmarks (see `benches/`). This library holds the shared scaffolding:
-//! a plain-text table renderer, a CSV writer for plotting, and a tiny
-//! `Result`-based `--key value` argument parser so the binaries stay
-//! dependency-free and exit cleanly (status 2) on malformed input.
+//! One binary per table/figure of the paper (see `src/bin/`), plus the
+//! gated benches (see `benches/`). This library holds the shared
+//! scaffolding: a plain-text table renderer, a CSV writer for plotting, a
+//! tiny `Result`-based `--key value` argument parser so the binaries stay
+//! dependency-free and exit cleanly (status 2) on malformed input, and the
+//! paired timing the benches gate on.
 //!
 //! The binaries compose their experiments through the `mlf-scenario`
 //! crate's `Scenario` builder and the `mlf-core` `Allocator` trait.
 //!
-//! ## The CI bench-regression gate
+//! ## The CI bench gates
 //!
-//! The `parallel_sweep` and `protocol_sweep` benches emit
-//! `BENCH_<name>.json` records ([`regression::BenchRecord`]) with their
-//! serial points-per-second; committed baselines live in
-//! `crates/bench/baselines/` and the `bench_gate` binary fails CI when a
-//! run regresses more than 30% against them. Setting `MLF_BENCH_CHECK=1`
-//! runs the benches in check mode (determinism asserts + one timed
-//! measurement, no sampling loops).
+//! Each bench is a plain `fn main` program that asserts its bitwise and
+//! determinism claims, then gates on a ratio measured in one process
+//! against frozen code ([`paired`]): a speed-up floor over the
+//! optimized engine's frozen reference, or a ceiling on a sweep's time
+//! over a fixed frozen-reference solve (the [`paired::yardstick`]). No
+//! number is compared against another run or another machine.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod cli;
 pub mod csvout;
-pub mod regression;
+pub mod paired;
 pub mod table;
 
 pub use cli::{knob, or_exit, usage, Args, CliError, Knob};
 pub use csvout::write_csv;
-pub use regression::{check_regression, BenchRecord, GateOutcome, RecordError};
 pub use table::Table;

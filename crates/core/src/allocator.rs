@@ -335,12 +335,12 @@ pub trait Allocator: Send + Sync {
     /// when the identity is not cheaply representable (e.g. explicit
     /// per-receiver weights); the digest then records the allocator as
     /// opaque.
-    fn cache_signature(&self) -> Option<String> {
+    fn signature(&self) -> Option<String> {
         None
     }
 }
 
-/// Render a [`LinkRateConfig`] for [`Allocator::cache_signature`]:
+/// Render a [`LinkRateConfig`] for [`Allocator::signature`]:
 /// per-session model tags with parameters as exact `f64` bit patterns.
 fn signature_of_cfg(cfg: &LinkRateConfig) -> String {
     let mut out = String::from("[");
@@ -442,7 +442,7 @@ impl Allocator for MultiRate {
         "multi-rate"
     }
 
-    fn cache_signature(&self) -> Option<String> {
+    fn signature(&self) -> Option<String> {
         Some(signature_with_cfg("multi-rate", self.cfg.as_ref()))
     }
 }
@@ -497,7 +497,7 @@ impl Allocator for SingleRate {
         "single-rate"
     }
 
-    fn cache_signature(&self) -> Option<String> {
+    fn signature(&self) -> Option<String> {
         Some(signature_with_cfg("single-rate", self.cfg.as_ref()))
     }
 }
@@ -563,7 +563,7 @@ impl Allocator for Hybrid {
         "hybrid"
     }
 
-    fn cache_signature(&self) -> Option<String> {
+    fn signature(&self) -> Option<String> {
         let regimes = match &self.regimes {
             Regimes::AsDeclared => "declared".to_string(),
             Regimes::Uniform(t) => format!("uniform:{t:?}"),
@@ -629,7 +629,7 @@ impl Allocator for Weighted {
     /// Uniform weights have a stable identity; explicit per-receiver
     /// weights are deliberately unrepresentable (`None`) rather than
     /// fingerprinting a large float matrix.
-    fn cache_signature(&self) -> Option<String> {
+    fn signature(&self) -> Option<String> {
         match &self.weights {
             WeightSpec::Uniform => Some("weighted@uniform".to_string()),
             WeightSpec::Explicit(_) => None,
@@ -660,7 +660,7 @@ impl Allocator for Unicast {
         "unicast"
     }
 
-    fn cache_signature(&self) -> Option<String> {
+    fn signature(&self) -> Option<String> {
         Some("unicast@eff".to_string())
     }
 }

@@ -15,15 +15,17 @@ use mlf_sim::{
     StarReport, StarScratch, Tick,
 };
 
-/// A loss probability that cannot parameterize an experiment.
+/// A value that cannot parameterize an experiment.
 ///
 /// The Bernoulli loss processes of the star (`StarConfig::figure8`) need
 /// probabilities in `[0, 1)` — a loss of exactly 1 starves every trial and
 /// a non-finite value silently poisons every [`RunningStats`] the
 /// experiment aggregates (NaN redundancy means a whole Figure 8 point
-/// quietly plots as a gap). [`ExperimentParams::paper`] and
-/// [`ExperimentParams::quick`] therefore reject such inputs up front with
-/// this typed error instead of producing NaN trial stats.
+/// quietly plots as a gap). A zero count either has nothing to simulate
+/// (no layers, no receivers) or aggregates nothing (no trials, no packets).
+/// [`ExperimentParams::paper`] and [`ExperimentParams::quick`] therefore
+/// reject such inputs up front with this typed error instead of producing
+/// NaN or empty trial stats.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum ExperimentParamError {
     /// A loss rate was NaN or infinite.
@@ -40,6 +42,14 @@ pub enum ExperimentParamError {
         /// The offending value.
         value: f64,
     },
+    /// `layers` was zero.
+    ZeroLayers,
+    /// `receivers` was zero.
+    ZeroReceivers,
+    /// `packets` was zero.
+    ZeroPackets,
+    /// `trials` was zero.
+    ZeroTrials,
 }
 
 impl std::fmt::Display for ExperimentParamError {
@@ -51,6 +61,10 @@ impl std::fmt::Display for ExperimentParamError {
             ExperimentParamError::LossOutOfRange { which, value } => {
                 write!(f, "{which} loss rate {value} is outside [0, 1)")
             }
+            ExperimentParamError::ZeroLayers => f.write_str("layers must be at least 1"),
+            ExperimentParamError::ZeroReceivers => f.write_str("receivers must be at least 1"),
+            ExperimentParamError::ZeroPackets => f.write_str("packets must be at least 1"),
+            ExperimentParamError::ZeroTrials => f.write_str("trials must be at least 1"),
         }
     }
 }
@@ -132,14 +146,28 @@ impl ExperimentParams {
         .validated()
     }
 
-    /// Check both loss probabilities (finite, in `[0, 1)`).
+    /// Check both loss probabilities (finite, in `[0, 1)`) and that
+    /// `layers`, `receivers`, `packets` and `trials` are nonzero.
     ///
     /// The fields are public (struct-update syntax is how the binaries and
     /// tests tweak shapes), so a hand-built value can still carry a bad
-    /// loss; call this before running it.
+    /// value; call this before running it.
     pub fn validate(&self) -> Result<(), ExperimentParamError> {
         validate_loss("shared", self.shared_loss)?;
-        validate_loss("independent", self.independent_loss)
+        validate_loss("independent", self.independent_loss)?;
+        if self.layers == 0 {
+            return Err(ExperimentParamError::ZeroLayers);
+        }
+        if self.receivers == 0 {
+            return Err(ExperimentParamError::ZeroReceivers);
+        }
+        if self.packets == 0 {
+            return Err(ExperimentParamError::ZeroPackets);
+        }
+        if self.trials == 0 {
+            return Err(ExperimentParamError::ZeroTrials);
+        }
+        Ok(())
     }
 
     /// [`ExperimentParams::validate`], by value (builder-style).
@@ -482,6 +510,57 @@ mod tests {
             ..template
         };
         assert!(bad.validate().is_err());
+    }
+
+    #[test]
+    fn zero_counts_are_rejected_with_typed_errors() {
+        let template = ExperimentParams::quick(0.0001, 0.0).unwrap();
+        let zeroed = [
+            (
+                ExperimentParams {
+                    layers: 0,
+                    ..template
+                },
+                ExperimentParamError::ZeroLayers,
+            ),
+            (
+                ExperimentParams {
+                    receivers: 0,
+                    ..template
+                },
+                ExperimentParamError::ZeroReceivers,
+            ),
+            (
+                ExperimentParams {
+                    packets: 0,
+                    ..template
+                },
+                ExperimentParamError::ZeroPackets,
+            ),
+            (
+                ExperimentParams {
+                    trials: 0,
+                    ..template
+                },
+                ExperimentParamError::ZeroTrials,
+            ),
+        ];
+        for (params, error) in zeroed {
+            assert_eq!(params.validated().unwrap_err(), error);
+        }
+        assert_eq!(
+            ExperimentParamError::ZeroTrials.to_string(),
+            "trials must be at least 1"
+        );
+        // One of each is enough.
+        let smallest = ExperimentParams {
+            layers: 1,
+            receivers: 1,
+            packets: 1,
+            trials: 1,
+            ..template
+        };
+        assert!(smallest.validate().is_ok());
     }
 
     #[test]

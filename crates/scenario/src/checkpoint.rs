@@ -727,7 +727,7 @@ fn sweep_identity(scenario: &Scenario, seeds: &[u64]) -> u64 {
     h.write(scenario.allocator.name().as_bytes());
     let sig = scenario
         .allocator
-        .cache_signature()
+        .signature()
         .unwrap_or_else(|| "<opaque>".to_string());
     h.write(sig.as_bytes());
     h.write_u64(u64::from(scenario.check_properties));

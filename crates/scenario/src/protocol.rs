@@ -305,11 +305,6 @@ impl ProtocolSweepPoint {
         self.outcome.redundancy.mean()
     }
 
-    /// Mean receiver goodput in packets/slot (throughput).
-    pub fn throughput(&self) -> f64 {
-        self.outcome.goodput.mean()
-    }
-
     /// Mean observed per-receiver loss rate (the realized loss regime).
     pub fn observed_loss(&self) -> f64 {
         self.outcome.observed_loss.mean()
@@ -317,7 +312,7 @@ impl ProtocolSweepPoint {
 
     /// The per-receiver goodput distribution (one observation per
     /// `(receiver, trial)`): `min()`/`max()`/`std_dev()` expose the spread
-    /// across receivers behind [`ProtocolSweepPoint::throughput`]'s mean.
+    /// across receivers behind `outcome.goodput`'s mean.
     pub fn receiver_goodput(&self) -> &mlf_sim::RunningStats {
         &self.outcome.receiver_goodput
     }
@@ -647,7 +642,7 @@ mod tests {
         assert_eq!(p.join_latency, 3);
         assert_eq!(p.leave_latency, 5);
         assert_eq!(p.seed, 42);
-        assert!(p.throughput() > 0.0);
+        assert!(p.outcome.goodput.mean() > 0.0);
         // With nonzero join latency a receiver's *requested* rate can
         // briefly exceed what the link carried, so redundancy may dip a
         // little under 1; it just has to stay in a sane band.
@@ -748,8 +743,8 @@ mod tests {
         // 6 receivers × 2 trials.
         assert_eq!(p.receiver_goodput().count(), 12);
         assert_eq!(p.receiver_mean_level().count(), 12);
-        assert!(p.receiver_goodput().min() <= p.throughput());
-        assert!(p.receiver_goodput().max() >= p.throughput());
+        assert!(p.receiver_goodput().min() <= p.outcome.goodput.mean());
+        assert!(p.receiver_goodput().max() >= p.outcome.goodput.mean());
         assert!(p.receiver_mean_level().std_dev() >= 0.0);
     }
 

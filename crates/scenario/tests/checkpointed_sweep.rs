@@ -315,8 +315,8 @@ impl Allocator for Fuse {
         MultiRate::new().name()
     }
 
-    fn cache_signature(&self) -> Option<String> {
-        MultiRate::new().cache_signature()
+    fn signature(&self) -> Option<String> {
+        MultiRate::new().signature()
     }
 }
 
