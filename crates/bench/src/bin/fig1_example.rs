@@ -4,12 +4,17 @@
 //!
 //! `cargo run -p mlf-bench --bin fig1_example`
 
-use mlf_bench::{write_csv, Table};
+use mlf_bench::{write_csv, Args, Table};
 use mlf_core::LinkRateConfig;
 use mlf_net::{paper, LinkId, SessionId};
 use mlf_scenario::Scenario;
 
 fn main() {
+    Args::for_binary(
+        "fig1_example",
+        "Figure 1 regenerator: the three-session example network and its property audit",
+        &[],
+    );
     let example = paper::figure1();
     let mut scenario = Scenario::builder()
         .label("figure1")

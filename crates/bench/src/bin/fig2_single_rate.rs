@@ -5,13 +5,18 @@
 //!
 //! `cargo run -p mlf-bench --bin fig2_single_rate`
 
-use mlf_bench::{write_csv, Table};
+use mlf_bench::{write_csv, Args, Table};
 use mlf_core::allocator::{Hybrid, MultiRate};
 use mlf_core::is_strictly_min_unfavorable;
 use mlf_net::paper;
 use mlf_scenario::Scenario;
 
 fn main() {
+    Args::for_binary(
+        "fig2_single_rate",
+        "Figure 2 regenerator: the single-rate failure example",
+        &[],
+    );
     let example = paper::figure2();
     // The declared regime (S1 single-rate) vs the multi-rate replacement:
     // one network, two allocators.

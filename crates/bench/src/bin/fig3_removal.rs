@@ -5,11 +5,16 @@
 //!
 //! `cargo run -p mlf-bench --bin fig3_removal`
 
-use mlf_bench::{write_csv, Table};
+use mlf_bench::{write_csv, Args, Table};
 use mlf_core::allocator::{Allocator, Hybrid, SolverWorkspace};
 use mlf_net::paper::{self, RemovalExample};
 
 fn main() {
+    Args::for_binary(
+        "fig3_removal",
+        "Figure 3 regenerator: receiver removal moves fair rates in either direction",
+        &[],
+    );
     println!("Figure 3: the effect of removing receiver r3,2\n");
     let mut ws = SolverWorkspace::new();
     run("3(a) intra-session DECREASE", paper::figure3a(), &mut ws);

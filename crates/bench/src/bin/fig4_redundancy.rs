@@ -5,12 +5,17 @@
 //!
 //! `cargo run -p mlf-bench --bin fig4_redundancy`
 
-use mlf_bench::{write_csv, Table};
+use mlf_bench::{write_csv, Args, Table};
 use mlf_core::{redundancy, LinkRateConfig, LinkRateModel};
 use mlf_net::{paper, LinkId, SessionId};
 use mlf_scenario::{LinkRates, Scenario};
 
 fn main() {
+    Args::for_binary(
+        "fig4_redundancy",
+        "Figure 4 regenerator: redundancy 2 on the shared link",
+        &[],
+    );
     let ex = paper::figure4();
     let redundant = LinkRateConfig::efficient(2).with_session(0, LinkRateModel::Scaled(2.0));
 

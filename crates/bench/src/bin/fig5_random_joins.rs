@@ -66,7 +66,15 @@ const MC_POINTS: [(Figure5Config, usize); 6] = [
 ];
 
 /// Refuse knob values that leave a run with no work or no packets to sample.
-fn check_knobs(mc_quanta: usize, mc_sigma: usize, sweep_seeds: u64) -> Result<(), String> {
+fn check_knobs(
+    max_receivers: usize,
+    mc_quanta: usize,
+    mc_sigma: usize,
+    sweep_seeds: u64,
+) -> Result<(), String> {
+    if max_receivers == 0 {
+        return Err("--max-receivers must be at least 1".to_string());
+    }
     if mc_quanta == 0 {
         return Err("--mc-quanta must be at least 1".to_string());
     }
@@ -99,7 +107,7 @@ fn main() {
     let sweep_seeds: u64 = or_exit(args.get("sweep-seeds", 64));
     let threads: usize = or_exit(args.get("threads", 0));
     let checkpoint: String = or_exit(args.get("checkpoint", String::new()));
-    or_exit(check_knobs(mc_quanta, mc_sigma, sweep_seeds));
+    or_exit(check_knobs(max_receivers, mc_quanta, mc_sigma, sweep_seeds));
 
     // Log-spaced x-axis like the paper's log plot.
     let mut xs = vec![1usize, 2, 3, 4, 5, 7, 10, 14, 20, 30, 50, 70];

@@ -33,6 +33,10 @@ fn assert_refused(rows: &[Row]) {
     assert!(failures.is_empty(), "{}", failures.join("\n"));
 }
 
+const FIG1: &str = env!("CARGO_BIN_EXE_fig1_example");
+const FIG2: &str = env!("CARGO_BIN_EXE_fig2_single_rate");
+const FIG3: &str = env!("CARGO_BIN_EXE_fig3_removal");
+const FIG4: &str = env!("CARGO_BIN_EXE_fig4_redundancy");
 const FIG5: &str = env!("CARGO_BIN_EXE_fig5_random_joins");
 const FIG6: &str = env!("CARGO_BIN_EXE_fig6_fair_rate_impact");
 const FIG7A: &str = env!("CARGO_BIN_EXE_fig7a_markov");
@@ -69,6 +73,24 @@ fn fig5_refuses_an_empty_network_sweep() {
 }
 
 #[test]
+fn fig5_refuses_zero_max_receivers() {
+    assert_refused(&[(
+        FIG5,
+        &[
+            "--max-receivers",
+            "0",
+            "--sweep-seeds",
+            "1",
+            "--mc-quanta",
+            "20",
+            "--threads",
+            "1",
+        ],
+        "error: --max-receivers must be at least 1",
+    )]);
+}
+
+#[test]
 fn fig5_refuses_zero_monte_carlo_quanta() {
     assert_refused(&[(
         FIG5,
@@ -94,6 +116,16 @@ fn fig5_refuses_a_monte_carlo_sigma_that_rounds_a_quota_to_zero() {
         &fig5_args("1", "20", "2"),
         "error: --mc-sigma 2 rounds the receiver rate 0.1 to a zero packet quota",
     )]);
+}
+
+#[test]
+fn knobless_binaries_refuse_unknown_options() {
+    assert_refused(&[
+        (FIG1, &["--bogus", "1"], "error: unknown option --bogus"),
+        (FIG2, &["--bogus", "1"], "error: unknown option --bogus"),
+        (FIG3, &["--bogus", "1"], "error: unknown option --bogus"),
+        (FIG4, &["--bogus", "1"], "error: unknown option --bogus"),
+    ]);
 }
 
 #[test]

@@ -606,12 +606,6 @@ impl Weighted {
             weights: WeightSpec::Uniform,
         }
     }
-
-    /// TCP-style weights from per-receiver round-trip times (`w = 1/RTT`).
-    // mlf-lint: allow(unused-pub, reason = "intentional API surface kept public alongside its siblings")
-    pub fn from_rtts(rtts: Vec<Vec<f64>>) -> Self {
-        Weighted::new(Weights::from_rtts(rtts))
-    }
 }
 
 impl Allocator for Weighted {

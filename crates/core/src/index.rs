@@ -36,7 +36,7 @@ use mlf_net::{LinkId, Network, SessionId};
 
 /// Flat link→session→receiver and receiver→route incidence arrays of one
 /// network (see the [module docs](self) for the layout).
-// mlf-lint: allow(unused-pub, reason = "documented public API; doc examples and links are invisible to the analyzer")
+// mlf-lint: allow(unused-pub, reason = "reserved for a perfbench probe of the index build (ROADMAP item 7)")
 #[derive(Debug, Default, Clone)]
 pub struct NetworkIndex {
     link_count: usize,
@@ -141,9 +141,8 @@ impl NetworkIndex {
     }
 
     /// The receiver indices `k ∈ R_{i,j}` of a slot, ascending.
-    // mlf-lint: allow(unused-pub, reason = "documented public API; doc examples and links are invisible to the analyzer")
     #[inline]
-    pub fn slot_receivers(&self, slot: usize) -> &[usize] {
+    pub(crate) fn slot_receivers(&self, slot: usize) -> &[usize] {
         &self.slot_receivers[self.slot_recv_offsets[slot]..self.slot_recv_offsets[slot + 1]]
     }
 
@@ -160,9 +159,8 @@ impl NetworkIndex {
     }
 
     /// The `(link, slot)` pairs along the data-path of flat receiver `r`.
-    // mlf-lint: allow(unused-pub, reason = "documented public API; doc examples and links are invisible to the analyzer")
     #[inline]
-    pub fn route_slots(&self, flat: usize) -> &[(usize, usize)] {
+    pub(crate) fn route_slots(&self, flat: usize) -> &[(usize, usize)] {
         &self.route_slots[self.route_offsets[flat]..self.route_offsets[flat + 1]]
     }
 

@@ -62,7 +62,7 @@ use crate::linkrate::{LinkRateConfig, LinkRateModel};
 use mlf_net::{LinkId, Network, ReceiverId};
 
 /// Why a receiver's rate froze at its final value.
-// mlf-lint: allow(unused-pub, reason = "reachable through public fn signatures and returned values; the ident-based usage scan cannot see type flow")
+// mlf-lint: allow(unused-pub, reason = "returned by the public MaxMinSolution::reason; re-exported by pub use maxmin::FreezeReason")
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FreezeReason {
     /// The session's maximum desired rate `κ_i` (or the layer rate `σ` for

@@ -34,7 +34,7 @@ pub fn check_theorem1(net: &Network) -> FairnessReport {
 }
 
 /// The per-part outcome of Theorem 2 on a mixed-type network.
-// mlf-lint: allow(unused-pub, reason = "reachable through public fn signatures and returned values; the ident-based usage scan cannot see type flow")
+// mlf-lint: allow(unused-pub, reason = "returned by the public check_theorem2 that the root tests and examples call")
 #[derive(Debug, Clone)]
 pub struct Theorem2Outcome {
     /// (a) fully-utilized-receiver-fairness holds for every receiver of a

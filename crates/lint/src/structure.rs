@@ -27,9 +27,12 @@
 //!   own tests/benches/examples, the workspace-root harness) should be
 //!   `pub(crate)`. Matching is by identifier, so a shared name anywhere
 //!   outside the crate counts as use — the rule errs toward silence.
-//!   Intentional API (e.g. items used only from doc examples, which are
-//!   comments to the analyzer) carries
-//!   `// mlf-lint: allow(unused-pub, reason = "…")` on the item.
+//!   `// mlf-lint: allow(unused-pub, reason = "…")` is only for an item
+//!   something else forces public: a public signature that returns or
+//!   holds it, a `pub use` that outside callers need, or a reservation
+//!   named in ROADMAP.md. The reason names which. A doc example is not a
+//!   reason: narrow the item and rewrite the example against the public
+//!   API. `workspace_is_lint_clean` caps the number of these allows.
 //! * **`differential-coverage`** — every frozen reference module (and
 //!   every non-test `mod` nested in one) must be named, together with its
 //!   crate, by at least one workspace test file: freezing an engine

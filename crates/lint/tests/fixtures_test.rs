@@ -145,4 +145,24 @@ fn workspace_is_lint_clean() {
         "only {} files",
         report.files_scanned
     );
+    // Ratchet: an `unused-pub` allow is for an item a public signature, a
+    // re-export or a named reservation forces public. The count may fall,
+    // never rise.
+    let files = mlf_lint::load_workspace(&root, &cfg).expect("workspace scan");
+    let allows = files
+        .iter()
+        .flat_map(|f| f.src.lines())
+        .filter(|line| {
+            line.trim_start()
+                .starts_with("// mlf-lint: allow(unused-pub")
+        })
+        .count();
+    assert!(
+        allows <= MAX_UNUSED_PUB_ALLOWS,
+        "{allows} unused-pub allows, at most {MAX_UNUSED_PUB_ALLOWS} permitted: \
+         narrow or delete the item instead"
+    );
 }
+
+/// The most `unused-pub` allow directives the workspace may carry.
+const MAX_UNUSED_PUB_ALLOWS: usize = 28;

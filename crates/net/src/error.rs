@@ -4,7 +4,7 @@ use crate::ids::{LinkId, NodeId, ReceiverId, SessionId};
 use std::fmt;
 
 /// Errors raised while building or validating a [`crate::Network`].
-// mlf-lint: allow(unused-pub, reason = "documented public API; doc examples and links are invisible to the analyzer")
+// mlf-lint: allow(unused-pub, reason = "the error of the public Network::new and Graph::add_link; re-exported by pub use error::NetError")
 #[derive(Debug, Clone, PartialEq)]
 pub enum NetError {
     /// A link references a node index that does not exist.
@@ -64,7 +64,7 @@ pub enum NetError {
 }
 
 /// The specific way an explicit route failed validation.
-// mlf-lint: allow(unused-pub, reason = "reachable through public fn signatures and returned values; the ident-based usage scan cannot see type flow")
+// mlf-lint: allow(unused-pub, reason = "a field of the public NetError::InvalidRoute; re-exported by pub use error::RouteDefect")
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RouteDefect {
     /// The route is empty but sender and receiver are on different nodes.

@@ -54,6 +54,6 @@ pub use error::RouteDefect;
 pub use graph::{Graph, Link};
 pub use ids::{LinkId, NodeId, ReceiverId, SessionId};
 pub use network::Network;
-pub use routing::{shortest_path, validate_route, PathFinder, Route};
+pub use routing::{shortest_path, validate_route, Route};
 pub use session::{Session, SessionType};
 pub use topology::{TopologyError, TopologyFamily};

@@ -21,7 +21,7 @@ use std::collections::VecDeque;
 /// sender to the receiver. The *set* of these links is what the fairness
 /// definitions consume (`R_{i,j}` membership); order matters only for
 /// packet-level simulation.
-// mlf-lint: allow(unused-pub, reason = "documented public API; doc examples and links are invisible to the analyzer")
+// mlf-lint: allow(unused-pub, reason = "returned by the public shortest_path and Network::routes; re-exported by pub use routing::Route")
 pub type Route = Vec<LinkId>;
 
 /// Compute the hop-count shortest path between two nodes as a sequence of
@@ -35,9 +35,8 @@ pub type Route = Vec<LinkId>;
 ///
 /// If `from == to`, the empty route is returned.
 ///
-/// This convenience wrapper allocates fresh BFS buffers per call; when
-/// routing many receivers over one graph (network construction, topology
-/// sweeps), use a [`PathFinder`] to reuse them.
+/// This convenience wrapper allocates fresh BFS buffers per call; network
+/// construction routes every receiver through one reused finder instead.
 pub fn shortest_path(graph: &Graph, from: NodeId, to: NodeId) -> Option<Route> {
     PathFinder::new().shortest_path(graph, from, to)
 }
@@ -53,9 +52,8 @@ pub fn shortest_path(graph: &Graph, from: NodeId, to: NodeId) -> Option<Route> {
 /// Results are identical to the free [`shortest_path`] function: the
 /// buffers are scratch, not state (`seen` gates every `parent` read, so
 /// stale entries from earlier queries are never observed).
-// mlf-lint: allow(unused-pub, reason = "documented public API; doc examples and links are invisible to the analyzer")
 #[derive(Debug, Default, Clone)]
-pub struct PathFinder {
+pub(crate) struct PathFinder {
     /// parent[v] = (previous node, link used to reach v)
     parent: Vec<Option<(NodeId, LinkId)>>,
     seen: Vec<bool>,
@@ -64,12 +62,17 @@ pub struct PathFinder {
 
 impl PathFinder {
     /// A finder with empty scratch (grown on first use).
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         PathFinder::default()
     }
 
     /// [`shortest_path`] against this finder's reusable scratch.
-    pub fn shortest_path(&mut self, graph: &Graph, from: NodeId, to: NodeId) -> Option<Route> {
+    pub(crate) fn shortest_path(
+        &mut self,
+        graph: &Graph,
+        from: NodeId,
+        to: NodeId,
+    ) -> Option<Route> {
         if from == to {
             return Some(Vec::new());
         }

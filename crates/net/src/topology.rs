@@ -41,57 +41,24 @@ fn must_link(g: &mut Graph, a: NodeId, b: NodeId, capacity: f64) -> LinkId {
         .expect("topology builders only add valid links")
 }
 
-/// A star (Figure 7): `sender --shared--> hub --fanout_k--> receiver_k`.
-// mlf-lint: allow(unused-pub, reason = "reachable through public fn signatures and returned values; the ident-based usage scan cannot see type flow")
-#[derive(Debug, Clone)]
-pub struct Star {
-    /// The assembled graph.
-    pub graph: Graph,
-    /// Node hosting the sender.
-    pub sender: NodeId,
-    /// The hub node behind the shared link.
-    pub hub: NodeId,
-    /// Receiver nodes, one per fanout link.
-    pub receivers: Vec<NodeId>,
-    /// The shared link abutting the sender.
-    pub shared_link: LinkId,
-    /// Fanout links, `fanout[k]` reaching `receivers[k]`.
-    pub fanout_links: Vec<LinkId>,
-}
-
-/// Build the modified-star topology of Figure 7 with per-receiver fanout
-/// capacities. The shared link abuts the sender; each receiver hangs off the
-/// hub on its own link.
-pub fn star(shared_capacity: f64, fanout_capacities: &[f64]) -> Star {
+/// Build the modified star of Figure 7 (`sender --shared--> hub
+/// --fanout_k--> receiver_k`, `n` receivers, all fanout links with the
+/// same capacity) wrapped into a single multi-rate session network — the
+/// exact substrate of the Figure 8 simulations. The shared link is link 0
+/// and receiver `k` hangs off fanout link `k + 1`.
+pub fn star_network(n_receivers: usize, shared_capacity: f64, fanout_capacity: f64) -> Network {
     let mut graph = Graph::new();
     let sender = graph.add_node();
     let hub = graph.add_node();
-    let shared_link = must_link(&mut graph, sender, hub, shared_capacity);
-    let mut receivers = Vec::with_capacity(fanout_capacities.len());
-    let mut fanout_links = Vec::with_capacity(fanout_capacities.len());
-    for &c in fanout_capacities {
-        let r = graph.add_node();
-        let l = must_link(&mut graph, hub, r, c);
-        receivers.push(r);
-        fanout_links.push(l);
-    }
-    Star {
-        graph,
-        sender,
-        hub,
-        receivers,
-        shared_link,
-        fanout_links,
-    }
-}
-
-/// Build a uniform modified star (`n` receivers, all fanout links with the
-/// same capacity) wrapped into a single multi-rate session network — the
-/// exact substrate of the Figure 8 simulations.
-pub fn star_network(n_receivers: usize, shared_capacity: f64, fanout_capacity: f64) -> Network {
-    let caps = vec![fanout_capacity; n_receivers];
-    let s = star(shared_capacity, &caps);
-    Network::new(s.graph, vec![Session::multi_rate(s.sender, s.receivers)])
+    must_link(&mut graph, sender, hub, shared_capacity);
+    let receivers = (0..n_receivers)
+        .map(|_| {
+            let r = graph.add_node();
+            must_link(&mut graph, hub, r, fanout_capacity);
+            r
+        })
+        .collect();
+    Network::new(graph, vec![Session::multi_rate(sender, receivers)])
         // mlf-lint: allow(panic-unwrap, reason = "a star is a tree, so every receiver is reachable and Network::new cannot fail")
         .expect("star network is routable by construction")
 }
@@ -354,8 +321,7 @@ impl std::error::Error for TopologyError {}
 /// Capacity multiplier for transit-core links relative to stub links: the
 /// classic transit–stub assumption that backbone links are provisioned an
 /// order of magnitude above access links.
-// mlf-lint: allow(unused-pub, reason = "documented public API; doc examples and links are invisible to the analyzer")
-pub const TRANSIT_CAPACITY_SCALE: f64 = 8.0;
+pub(crate) const TRANSIT_CAPACITY_SCALE: f64 = 8.0;
 
 /// A structural family of random topologies, selectable per sweep. Every
 /// family is generated deterministically from a seed and produces a tree
@@ -372,7 +338,7 @@ pub enum TopologyFamily {
         arity: usize,
     },
     /// Two-level transit–stub hierarchy: the first `transit` nodes form a
-    /// high-capacity random core ([`TRANSIT_CAPACITY_SCALE`]× the stub
+    /// high-capacity random core (8× the stub
     /// capacity range); the remaining nodes are stub nodes assigned
     /// round-robin to per-core-node stub domains and attached by random
     /// attachment *within* their domain.
@@ -579,12 +545,13 @@ mod tests {
 
     #[test]
     fn star_shape_is_correct() {
-        let s = star(10.0, &[1.0, 2.0, 3.0]);
-        assert_eq!(s.graph.node_count(), 5); // sender + hub + 3 receivers
-        assert_eq!(s.graph.link_count(), 4);
-        assert_eq!(s.graph.capacity(s.shared_link), 10.0);
-        assert_eq!(s.graph.capacity(s.fanout_links[2]), 3.0);
-        assert_eq!(s.receivers.len(), 3);
+        let net = star_network(3, 10.0, 2.0);
+        let g = net.graph();
+        assert_eq!(g.node_count(), 5); // sender + hub + 3 receivers
+        assert_eq!(g.link_count(), 4);
+        assert_eq!(g.capacity(LinkId(0)), 10.0);
+        assert_eq!(g.capacity(LinkId(3)), 2.0);
+        assert_eq!(net.receiver_count(), 3);
     }
 
     #[test]
@@ -854,15 +821,10 @@ mod tests {
     #[test]
     fn two_receiver_star_matches_figure7a_shape() {
         // Figure 7(a): sender, shared link, two fanout links.
-        let s = star(100.0, &[50.0, 50.0]);
-        let net = Network::new(
-            s.graph,
-            vec![Session::multi_rate(s.sender, s.receivers.clone())],
-        )
-        .unwrap();
+        let net = star_network(2, 100.0, 50.0);
         assert_eq!(net.receiver_count(), 2);
-        assert!(net.crosses(ReceiverId::new(0, 0), s.shared_link));
-        assert!(net.crosses(ReceiverId::new(0, 1), s.shared_link));
+        assert!(net.crosses(ReceiverId::new(0, 0), LinkId(0)));
+        assert!(net.crosses(ReceiverId::new(0, 1), LinkId(0)));
         assert!(!net.same_data_path(ReceiverId::new(0, 0), ReceiverId::new(0, 1)));
     }
 }

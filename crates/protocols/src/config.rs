@@ -45,8 +45,7 @@ impl ProtocolKind {
 /// # Panics
 ///
 /// Panics for `i = 0` (levels are 1-based) or thresholds beyond `u64`.
-// mlf-lint: allow(unused-pub, reason = "documented public API; doc examples and links are invisible to the analyzer")
-pub fn join_threshold(level: usize) -> u64 {
+pub(crate) fn join_threshold(level: usize) -> u64 {
     assert!((1..=32).contains(&level), "level out of range");
     1u64 << (2 * (level - 1))
 }
@@ -56,23 +55,6 @@ pub fn join_threshold(level: usize) -> u64 {
 /// [`join_threshold`]).
 pub(crate) fn join_probability(level: usize) -> f64 {
     1.0 / join_threshold(level) as f64
-}
-
-/// Protocol/experiment configuration for the Figure 8 family.
-// mlf-lint: allow(unused-pub, reason = "reachable through public fn signatures and returned values; the ident-based usage scan cannot see type flow")
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ProtocolConfig {
-    /// Number of layers `M` (8 in the paper).
-    pub layers: usize,
-    /// Which protocol receivers run.
-    pub kind: ProtocolKind,
-}
-
-impl ProtocolConfig {
-    /// The paper's setting: 8 layers.
-    pub fn paper(kind: ProtocolKind) -> Self {
-        ProtocolConfig { layers: 8, kind }
-    }
 }
 
 #[cfg(test)]

@@ -57,15 +57,12 @@ pub mod receiver;
 pub mod sender;
 
 pub use active::run_trial_active;
-pub use config::ProtocolConfig;
-pub use config::{join_threshold, ProtocolKind};
+pub use config::ProtocolKind;
 pub use experiment::{
     figure8_series, run_point, run_trial, validate_loss, ExperimentParamError, ExperimentParams,
     PointOutcome,
 };
 pub use markov::two_receiver_chain;
 pub use markov::{DenseChain, TwoReceiverModel};
-pub use receiver::{
-    make_receiver, CoordinatedReceiver, DeterministicReceiver, UncoordinatedReceiver,
-};
+pub use receiver::make_receiver;
 pub use sender::CoordinatedSender;

@@ -31,7 +31,7 @@
 use crate::config::{join_probability, ProtocolKind};
 
 /// A dense finite discrete-time Markov chain (row-stochastic matrix).
-// mlf-lint: allow(unused-pub, reason = "reachable through public fn signatures and returned values; the ident-based usage scan cannot see type flow")
+// mlf-lint: allow(unused-pub, reason = "the type of the public TwoReceiverModel::chain field; re-exported by pub use markov::DenseChain")
 #[derive(Debug, Clone)]
 pub struct DenseChain {
     /// `p[s][t]` = transition probability from state `s` to state `t`.
@@ -57,23 +57,16 @@ impl DenseChain {
     }
 
     /// Number of states.
-    // mlf-lint: allow(unused-pub, reason = "intentional API surface kept public alongside its siblings")
+    // mlf-lint: allow(unused-pub, reason = "reserved for a perfbench probe of the Markov chain size (ROADMAP item 7)")
     pub fn state_count(&self) -> usize {
         self.p.len()
-    }
-
-    /// The transition probability from `s` to `t`.
-    // mlf-lint: allow(unused-pub, reason = "intentional API surface kept public alongside its siblings")
-    pub fn prob(&self, s: usize, t: usize) -> f64 {
-        self.p[s][t]
     }
 
     /// Stationary distribution by power iteration from the uniform vector.
     /// Converges for the aperiodic, irreducible chains built here; the
     /// iteration cap guards against pathological inputs.
-    // mlf-lint: allow(unused-pub, reason = "documented public API; doc examples and links are invisible to the analyzer")
     #[allow(clippy::needless_range_loop)] // dense matrix-vector product
-    pub fn stationary(&self, tol: f64, max_iter: usize) -> Vec<f64> {
+    pub(crate) fn stationary(&self, tol: f64, max_iter: usize) -> Vec<f64> {
         let n = self.state_count();
         let mut pi = vec![1.0 / n as f64; n];
         let mut next = vec![0.0; n];
@@ -101,7 +94,7 @@ impl DenseChain {
 }
 
 /// The two-receiver chain plus its state indexing.
-// mlf-lint: allow(unused-pub, reason = "reachable through public fn signatures and returned values; the ident-based usage scan cannot see type flow")
+// mlf-lint: allow(unused-pub, reason = "returned by the public two_receiver_chain that the Figure 7(a) binary calls; re-exported by pub use markov::TwoReceiverModel")
 #[derive(Debug, Clone)]
 pub struct TwoReceiverModel {
     /// The chain over states `(ℓ₁, ℓ₂)`.
@@ -111,15 +104,8 @@ pub struct TwoReceiverModel {
 }
 
 impl TwoReceiverModel {
-    /// Flatten `(ℓ₁, ℓ₂)` (1-based levels) to a state index.
-    // mlf-lint: allow(unused-pub, reason = "intentional API surface kept public alongside its siblings")
-    pub fn state_index(&self, l1: usize, l2: usize) -> usize {
-        (l1 - 1) * self.layers + (l2 - 1)
-    }
-
-    /// Unflatten a state index to `(ℓ₁, ℓ₂)`.
-    // mlf-lint: allow(unused-pub, reason = "intentional API surface kept public alongside its siblings")
-    pub fn levels_of(&self, s: usize) -> (usize, usize) {
+    /// Unflatten a state index to `(ℓ₁, ℓ₂)` (1-based levels, row-major).
+    pub(crate) fn levels_of(&self, s: usize) -> (usize, usize) {
         (s / self.layers + 1, s % self.layers + 1)
     }
 
@@ -391,13 +377,12 @@ mod tests {
     }
 
     #[test]
-    fn state_indexing_round_trips() {
+    fn levels_of_enumerates_states_row_major() {
         let model = two_receiver_chain(ProtocolKind::Uncoordinated, 5, 0.01, 0.01, 0.01);
-        for l1 in 1..=5 {
-            for l2 in 1..=5 {
-                let s = model.state_index(l1, l2);
-                assert_eq!(model.levels_of(s), (l1, l2));
-            }
-        }
+        let states: Vec<_> = (0..25).map(|s| model.levels_of(s)).collect();
+        let expected: Vec<_> = (1..=5)
+            .flat_map(|l1| (1..=5).map(move |l2| (l1, l2)))
+            .collect();
+        assert_eq!(states, expected);
     }
 }

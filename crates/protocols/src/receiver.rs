@@ -5,11 +5,11 @@
 //! probes for bandwidth by joining layers. The protocols differ only in
 //! *when* they join:
 //!
-//! * [`UncoordinatedReceiver`] — upon receiving a packet, joins with
+//! * Uncoordinated — upon receiving a packet, joins with
 //!   probability `2^{−2(i−1)}` (a memoryless coin flip);
-//! * [`DeterministicReceiver`] — joins after a fixed `2^{2(i−1)}` packets
+//! * Deterministic — joins after a fixed `2^{2(i−1)}` packets
 //!   received without loss since its last join or leave event;
-//! * [`CoordinatedReceiver`] — joins exactly when a sender marker tells
+//! * Coordinated — joins exactly when a sender marker tells
 //!   receivers at its level to (markers for level `i` imply markers for all
 //!   `j < i`, so one threshold field suffices).
 
@@ -17,16 +17,15 @@ use crate::config::{join_probability, join_threshold, ProtocolKind};
 use mlf_sim::{Action, PacketEvent, ReceiverController, SimRng};
 
 /// Uncoordinated: per-packet probabilistic joins.
-// mlf-lint: allow(unused-pub, reason = "documented public API; doc examples and links are invisible to the analyzer")
 #[derive(Debug, Clone)]
-pub struct UncoordinatedReceiver {
+pub(crate) struct UncoordinatedReceiver {
     rng: SimRng,
 }
 
 impl UncoordinatedReceiver {
     /// Create with a dedicated RNG substream (each receiver must get its
     /// own so runs stay reproducible as receivers are added).
-    pub fn new(rng: SimRng) -> Self {
+    pub(crate) fn new(rng: SimRng) -> Self {
         UncoordinatedReceiver { rng }
     }
 }
@@ -45,16 +44,15 @@ impl ReceiverController for UncoordinatedReceiver {
 }
 
 /// Deterministic: joins after a fixed run of clean packets.
-// mlf-lint: allow(unused-pub, reason = "documented public API; doc examples and links are invisible to the analyzer")
 #[derive(Debug, Clone, Default)]
-pub struct DeterministicReceiver {
+pub(crate) struct DeterministicReceiver {
     /// Clean packets received since the last join/leave event.
     clean_run: u64,
 }
 
 impl DeterministicReceiver {
     /// Fresh receiver (counter zeroed).
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 }
@@ -78,13 +76,12 @@ impl ReceiverController for DeterministicReceiver {
 }
 
 /// Coordinated: joins only on sender markers.
-// mlf-lint: allow(unused-pub, reason = "documented public API; doc examples and links are invisible to the analyzer")
 #[derive(Debug, Clone, Default)]
-pub struct CoordinatedReceiver;
+pub(crate) struct CoordinatedReceiver;
 
 impl CoordinatedReceiver {
     /// Fresh receiver.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         CoordinatedReceiver
     }
 }

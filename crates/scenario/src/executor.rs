@@ -51,7 +51,7 @@
 /// # Panics
 ///
 /// Propagates panics from `solve`/`init` (the scope joins every worker).
-// mlf-lint: allow(unused-pub, reason = "documented public API; doc examples and links are invisible to the analyzer")
+// mlf-lint: allow(unused-pub, reason = "reserved for a perfbench probe of executor overhead (ROADMAP item 7)")
 pub fn run_jobs_par<J, O, S, Init, Solve>(
     jobs: &[J],
     threads: usize,

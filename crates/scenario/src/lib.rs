@@ -166,7 +166,7 @@ impl LinkRates {
 }
 
 /// Why a [`ScenarioBuilder`] refused to build.
-// mlf-lint: allow(unused-pub, reason = "documented public API; doc examples and links are invisible to the analyzer")
+// mlf-lint: allow(unused-pub, reason = "returned by the public ScenarioBuilder::build that the examples and binaries call")
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ScenarioError {
     /// Neither [`ScenarioBuilder::network`] nor
@@ -223,7 +223,7 @@ impl std::fmt::Display for ScenarioError {
 impl std::error::Error for ScenarioError {}
 
 /// Builder for [`Scenario`]. Obtain via [`Scenario::builder`].
-// mlf-lint: allow(unused-pub, reason = "documented public API; doc examples and links are invisible to the analyzer")
+// mlf-lint: allow(unused-pub, reason = "returned by the public Scenario::builder that the examples and binaries call")
 pub struct ScenarioBuilder {
     label: String,
     source: Option<NetworkSource>,
@@ -661,7 +661,7 @@ impl ScenarioMetrics {
 }
 
 /// How one receiver's fair rate fits the scenario's layer ladder.
-// mlf-lint: allow(unused-pub, reason = "reachable through public fn signatures and returned values; the ident-based usage scan cannot see type flow")
+// mlf-lint: allow(unused-pub, reason = "the element type of the public LayeringSummary::fits field")
 #[derive(Debug, Clone, PartialEq)]
 pub struct LayerFit {
     /// The receiver.
@@ -679,7 +679,7 @@ pub struct LayerFit {
 }
 
 /// The layering report of one run: per-receiver ladder fits.
-// mlf-lint: allow(unused-pub, reason = "reachable through public fn signatures and returned values; the ident-based usage scan cannot see type flow")
+// mlf-lint: allow(unused-pub, reason = "the type of the public ScenarioReport::layering field")
 #[derive(Debug, Clone, PartialEq)]
 pub struct LayeringSummary {
     /// Per-receiver fits, session-major.
@@ -704,16 +704,6 @@ impl LayeringSummary {
             })
             .collect();
         LayeringSummary { fits }
-    }
-
-    /// Mean deficit across receivers (0 when every fair rate sits exactly
-    /// on a ladder step).
-    // mlf-lint: allow(unused-pub, reason = "intentional API surface kept public alongside its siblings")
-    pub fn mean_deficit(&self) -> f64 {
-        if self.fits.is_empty() {
-            return 0.0;
-        }
-        self.fits.iter().map(|f| f.deficit).sum::<f64>() / self.fits.len() as f64
     }
 }
 
@@ -1245,7 +1235,6 @@ mod tests {
         assert_eq!(summary.fits[0].level, 2);
         assert!((summary.fits[0].deficit).abs() < 1e-9);
         assert!((summary.fits[1].deficit - 1.0 / 3.0).abs() < 1e-9);
-        assert!(summary.mean_deficit() > 0.0);
     }
 
     #[test]

@@ -53,7 +53,7 @@ use mlf_sim::Tick;
 
 /// Why a [`ProtocolScenarioBuilder`] or a [`ProtocolSweepGrid`] was
 /// rejected.
-// mlf-lint: allow(unused-pub, reason = "reachable through public fn signatures and returned values; the ident-based usage scan cannot see type flow")
+// mlf-lint: allow(unused-pub, reason = "returned by the public ProtocolScenarioBuilder::build; re-exported by pub use protocol::ProtocolScenarioError")
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum ProtocolScenarioError {
     /// The experiment template (or a grid loss) carries an invalid loss
@@ -99,7 +99,7 @@ impl From<ExperimentParamError> for ProtocolScenarioError {
 
 /// Builder for [`ProtocolScenario`]. Obtain via
 /// [`ProtocolScenario::builder`].
-// mlf-lint: allow(unused-pub, reason = "documented public API; doc examples and links are invisible to the analyzer")
+// mlf-lint: allow(unused-pub, reason = "returned by the public ProtocolScenario::builder; re-exported by pub use protocol::ProtocolScenarioBuilder")
 pub struct ProtocolScenarioBuilder {
     label: String,
     template: ExperimentParams,
@@ -342,21 +342,6 @@ impl ProtocolSweepReport {
             return 0.0;
         }
         self.points.iter().map(f).sum::<f64>() / self.points.len() as f64
-    }
-
-    /// Mean shared-link redundancy of one protocol across the sweep.
-    // mlf-lint: allow(unused-pub, reason = "intentional API surface kept public alongside its siblings")
-    pub fn mean_redundancy(&self, kind: ProtocolKind) -> f64 {
-        let of_kind: Vec<f64> = self
-            .points
-            .iter()
-            .filter(|p| p.kind == kind)
-            .map(ProtocolSweepPoint::redundancy)
-            .collect();
-        if of_kind.is_empty() {
-            return 0.0;
-        }
-        of_kind.iter().sum::<f64>() / of_kind.len() as f64
     }
 
     /// The points of one protocol, in sweep order.

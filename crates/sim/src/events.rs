@@ -2,7 +2,7 @@
 //!
 //! The Figure 8 experiments run in packet-slot time, but join/leave latency
 //! (the Section 5 ablation) and any finer-grained extension need genuinely
-//! asynchronous events. [`EventQueue`] is a classic calendar built on a
+//! asynchronous events. `EventQueue` is a classic calendar built on a
 //! binary heap with two guarantees the reproduction relies on:
 //!
 //! * **deterministic tie-breaking** — events at the same timestamp pop in
@@ -19,9 +19,8 @@ use std::collections::BinaryHeap;
 pub type Tick = u64;
 
 /// An event queue over payloads of type `E`.
-// mlf-lint: allow(unused-pub, reason = "documented public API; doc examples and links are invisible to the analyzer")
 #[derive(Debug, Clone)]
-pub struct EventQueue<E> {
+pub(crate) struct EventQueue<E> {
     heap: BinaryHeap<Entry<E>>,
     next_seq: u64,
     now: Tick,
@@ -63,7 +62,7 @@ impl<E> Default for EventQueue<E> {
 
 impl<E> EventQueue<E> {
     /// An empty queue at time zero.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         EventQueue {
             heap: BinaryHeap::new(),
             next_seq: 0,
@@ -72,7 +71,7 @@ impl<E> EventQueue<E> {
     }
 
     /// Current simulation time (the timestamp of the last popped event).
-    pub fn now(&self) -> Tick {
+    pub(crate) fn now(&self) -> Tick {
         self.now
     }
 
@@ -88,15 +87,8 @@ impl<E> EventQueue<E> {
         self.heap.push(Entry { at, seq, payload });
     }
 
-    /// Schedule `payload` `delay` ticks from now.
-    // mlf-lint: allow(unused-pub, reason = "intentional API surface kept public alongside its siblings")
-    pub fn schedule_in(&mut self, delay: Tick, payload: E) {
-        self.schedule_at(self.now + delay, payload);
-    }
-
     /// Pop the next event, advancing the clock to its timestamp.
-    // mlf-lint: allow(unused-pub, reason = "documented public API; doc examples and links are invisible to the analyzer")
-    pub fn pop(&mut self) -> Option<(Tick, E)> {
+    pub(crate) fn pop(&mut self) -> Option<(Tick, E)> {
         let entry = self.heap.pop()?;
         debug_assert!(entry.at >= self.now);
         self.now = entry.at;
@@ -110,8 +102,7 @@ impl<E> EventQueue<E> {
 
     /// Pop all events scheduled at or before `t` (advancing the clock to at
     /// most `t`).
-    // mlf-lint: allow(unused-pub, reason = "documented public API; doc examples and links are invisible to the analyzer")
-    pub fn drain_until(&mut self, t: Tick) -> Vec<(Tick, E)> {
+    pub(crate) fn drain_until(&mut self, t: Tick) -> Vec<(Tick, E)> {
         let mut out = Vec::new();
         while self.peek_time().is_some_and(|at| at <= t) {
             // A successful peek guarantees the pop; `break` degrades safely.
@@ -134,20 +125,10 @@ impl<E> EventQueue<E> {
     /// Remove all pending events and rewind the clock (and tie-break
     /// sequence) to zero — the same post-state as a fresh queue, reusing
     /// the heap allocation.
-    pub fn clear(&mut self) {
+    pub(crate) fn clear(&mut self) {
         self.heap.clear();
         self.next_seq = 0;
         self.now = 0;
-    }
-
-    /// Number of pending events.
-    pub fn len(&self) -> usize {
-        self.heap.len()
-    }
-
-    /// Whether no events are pending.
-    pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
     }
 }
 
@@ -179,15 +160,6 @@ mod tests {
     }
 
     #[test]
-    fn relative_scheduling_tracks_now() {
-        let mut q = EventQueue::new();
-        q.schedule_at(10, "x");
-        let _ = q.pop();
-        q.schedule_in(5, "y");
-        assert_eq!(q.pop(), Some((15, "y")));
-    }
-
-    #[test]
     #[should_panic(expected = "past")]
     fn scheduling_in_the_past_panics() {
         let mut q = EventQueue::new();
@@ -203,7 +175,7 @@ mod tests {
         q.schedule_at(9, "b");
         let _ = q.pop();
         q.clear();
-        assert!(q.is_empty());
+        assert_eq!(q.peek_time(), None);
         assert_eq!(q.now(), 0);
         // Scheduling at time 0 works again and ties break from seq 0.
         q.schedule_at(0, "x");
@@ -230,7 +202,6 @@ mod tests {
         let due = q.drain_until(5);
         assert_eq!(due, vec![(1, "a"), (2, "b")]);
         assert_eq!(q.now(), 5);
-        assert_eq!(q.len(), 1);
-        assert!(!q.is_empty());
+        assert_eq!(q.peek_time(), Some(9));
     }
 }

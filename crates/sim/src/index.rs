@@ -31,7 +31,7 @@
 //! invariants (counts match a recount of effective levels; bitsets match a
 //! recount of active levels; the cached maximum matches the occupied
 //! buckets) are property-tested in `crates/sim/tests/membership_proptest.rs`
-//! via [`LevelIndex::check_invariants`].
+//! via `LevelIndex::check_invariants`.
 //!
 //! [`LinkLevelIndex`] generalizes the same idea from the star's one shared
 //! link to every link of a sender-rooted tree: per *link*, a per-level
@@ -51,7 +51,7 @@
 
 /// Incremental per-level counts and per-layer subscriber bitsets for one
 /// set of receivers with cumulative-layer subscriptions.
-// mlf-lint: allow(unused-pub, reason = "documented public API; doc examples and links are invisible to the analyzer")
+// mlf-lint: allow(unused-pub, reason = "returned by the public MembershipTable::index; re-exported by pub use index::LevelIndex")
 #[derive(Debug, Clone, Default)]
 pub struct LevelIndex {
     receiver_count: usize,
@@ -125,8 +125,7 @@ impl LevelIndex {
 
     /// The highest effective level across receivers, O(1). Zero when no
     /// receivers are tracked.
-    // mlf-lint: allow(unused-pub, reason = "documented public API; doc examples and links are invisible to the analyzer")
-    pub fn max_effective(&self) -> usize {
+    pub(crate) fn max_effective(&self) -> usize {
         self.max_eff
     }
 
@@ -138,35 +137,13 @@ impl LevelIndex {
     /// The bitset row of `layer` (1-based): bit `r` set iff receiver `r` is
     /// actively subscribed to it. The engine snapshots this slice per slot
     /// and walks its set bits in ascending receiver id.
-    // mlf-lint: allow(unused-pub, reason = "documented public API; doc examples and links are invisible to the analyzer")
-    pub fn subscribers(&self, layer: usize) -> &[u64] {
+    pub(crate) fn subscribers(&self, layer: usize) -> &[u64] {
         let range = self.row_range(layer);
         &self.rows[range]
     }
 
-    /// Number of receivers actively subscribed to `layer` (1-based).
-    // mlf-lint: allow(unused-pub, reason = "intentional API surface kept public alongside its siblings")
-    pub fn subscriber_count(&self, layer: usize) -> usize {
-        self.subscribers(layer)
-            .iter()
-            .map(|w| w.count_ones() as usize)
-            .sum()
-    }
-
-    /// Visit the active subscribers of `layer` in ascending receiver id.
-    // mlf-lint: allow(unused-pub, reason = "intentional API surface kept public alongside its siblings")
-    pub fn for_each_subscriber(&self, layer: usize, mut f: impl FnMut(usize)) {
-        for (w, &word) in self.subscribers(layer).iter().enumerate() {
-            let mut word = word;
-            while word != 0 {
-                f(w * 64 + word.trailing_zeros() as usize);
-                word &= word - 1;
-            }
-        }
-    }
-
     /// Record receiver `r`'s effective level moving `old → new`.
-    // mlf-lint: allow(unused-pub, reason = "documented public API; doc examples and links are invisible to the analyzer")
+    // mlf-lint: allow(unused-pub, reason = "reserved for a perfbench probe of the membership moves (ROADMAP item 7)")
     pub fn effective_changed(&mut self, _r: usize, old: usize, new: usize) {
         self.eff_count[old] -= 1;
         self.eff_count[new] += 1;
@@ -182,7 +159,7 @@ impl LevelIndex {
     /// Record receiver `r`'s active level (`min(requested, effective)`)
     /// moving `old → new`: flip `r`'s bit in the rows of layers
     /// `min+1..=max` of the two.
-    // mlf-lint: allow(unused-pub, reason = "documented public API; doc examples and links are invisible to the analyzer")
+    // mlf-lint: allow(unused-pub, reason = "reserved for a perfbench probe of the membership moves (ROADMAP item 7)")
     pub fn active_changed(&mut self, r: usize, old: usize, new: usize) {
         let word = r / 64;
         let mask = 1u64 << (r % 64);
@@ -199,8 +176,11 @@ impl LevelIndex {
     /// Check every index invariant against ground-truth `effective` and
     /// `requested` level slices; returns the first violation as an error
     /// string. Used by the membership property tests.
-    // mlf-lint: allow(unused-pub, reason = "documented public API; doc examples and links are invisible to the analyzer")
-    pub fn check_invariants(&self, requested: &[usize], effective: &[usize]) -> Result<(), String> {
+    pub(crate) fn check_invariants(
+        &self,
+        requested: &[usize],
+        effective: &[usize],
+    ) -> Result<(), String> {
         if requested.len() != self.receiver_count || effective.len() != self.receiver_count {
             return Err("level slice length mismatch".into());
         }
@@ -254,7 +234,7 @@ const NO_PARENT: u32 = u32::MAX;
 /// Error from [`LinkLevelIndex::rebuild`]: the supplied routes are not the
 /// paths of a sender-rooted tree, so per-link downstream maxima (and the
 /// parent-chain loss propagation built on them) would be ill-defined.
-// mlf-lint: allow(unused-pub, reason = "error type of the public LinkLevelIndex::rebuild API; in-crate consumers are invisible to the analyzer")
+// mlf-lint: allow(unused-pub, reason = "returned by the public LinkLevelIndex::rebuild, which ROADMAP item 7 reserves for a perfbench probe")
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum LinkIndexError {
     /// A receiver's route contains no links (receiver colocated with the
@@ -305,10 +285,10 @@ impl std::error::Error for LinkIndexError {}
 /// maximum with lazy downward repair, and per-layer bitset rows over ranks
 /// (`carrying(L)` bit `a` set iff rank `a`'s downstream maximum is `≥ L`).
 /// [`MembershipTable`](crate::multicast::MembershipTable) drives it
-/// through [`LinkLevelIndex::effective_changed`] from the same two
+/// through `LinkLevelIndex::effective_changed` from the same two
 /// notification sites that maintain the receiver-level index, so the
 /// carry sets stay exact under join/leave latencies.
-// mlf-lint: allow(unused-pub, reason = "documented public API; doc examples and links are invisible to the analyzer")
+// mlf-lint: allow(unused-pub, reason = "owner of LinkLevelIndex::rebuild, which ROADMAP item 7 reserves for a perfbench probe; re-exported by pub use index::LinkLevelIndex")
 #[derive(Debug, Clone, Default)]
 pub struct LinkLevelIndex {
     receiver_count: usize,
@@ -346,7 +326,7 @@ impl LinkLevelIndex {
     /// ids (`route_links[route_start[r]..route_start[r+1]]` = receiver
     /// `r`'s route, sender → receiver order), reusing prior allocations.
     /// Dynamic state is reset to *no* receivers counted; call
-    /// [`LinkLevelIndex::sync_levels`] with the current effective levels
+    /// `LinkLevelIndex::sync_levels` with the current effective levels
     /// before querying.
     ///
     /// Fails when the routes are not tree paths: every link must appear at
@@ -457,8 +437,7 @@ impl LinkLevelIndex {
     /// flow through [`LinkLevelIndex::effective_changed`] afterwards.
     ///
     /// [`MembershipTable`]: crate::multicast::MembershipTable
-    // mlf-lint: allow(unused-pub, reason = "documented public API of the exported index; doc links and in-crate consumers are invisible to the analyzer")
-    pub fn sync_levels(&mut self, effective: &[usize]) {
+    pub(crate) fn sync_levels(&mut self, effective: &[usize]) {
         assert_eq!(effective.len(), self.receiver_count, "receiver count");
         let m = self.layer_count;
         self.eff_count.fill(0);
@@ -487,8 +466,7 @@ impl LinkLevelIndex {
     /// Record receiver `r`'s effective level moving `old → new`: one
     /// bucket move, cached-max repair, and at most `|old − new|` bitset
     /// word flips per ancestor link of `r`.
-    // mlf-lint: allow(unused-pub, reason = "documented public API of the exported index; doc links and in-crate consumers are invisible to the analyzer")
-    pub fn effective_changed(&mut self, r: usize, old: usize, new: usize) {
+    pub(crate) fn effective_changed(&mut self, r: usize, old: usize, new: usize) {
         let m = self.layer_count;
         let s = self.route_start[r] as usize;
         let e = self.route_start[r + 1] as usize;
@@ -529,8 +507,7 @@ impl LinkLevelIndex {
     /// rank `a`'s downstream maximum effective level is `≥ layer`. The
     /// engine walks its set bits in ascending rank order — parents before
     /// children.
-    // mlf-lint: allow(unused-pub, reason = "documented public API of the exported index; doc links and in-crate consumers are invisible to the analyzer")
-    pub fn carrying(&self, layer: usize) -> &[u64] {
+    pub(crate) fn carrying(&self, layer: usize) -> &[u64] {
         debug_assert!(
             (1..=self.layer_count).contains(&layer),
             "layer out of range"
@@ -540,8 +517,7 @@ impl LinkLevelIndex {
     }
 
     /// Number of link ranks (links on at least one route).
-    // mlf-lint: allow(unused-pub, reason = "documented public API of the exported index; doc links and in-crate consumers are invisible to the analyzer")
-    pub fn rank_count(&self) -> usize {
+    pub(crate) fn rank_count(&self) -> usize {
         self.rank_count
     }
 
@@ -556,31 +532,27 @@ impl LinkLevelIndex {
     }
 
     /// The link id of rank `a`.
-    // mlf-lint: allow(unused-pub, reason = "documented public API of the exported index; doc links and in-crate consumers are invisible to the analyzer")
-    pub fn link_of(&self, a: usize) -> usize {
+    pub(crate) fn link_of(&self, a: usize) -> usize {
         self.link_ids[a] as usize
     }
 
     /// The parent rank of rank `a` (`None` for root-adjacent links).
     /// Always strictly less than `a` when present.
-    // mlf-lint: allow(unused-pub, reason = "documented public API of the exported index; doc links and in-crate consumers are invisible to the analyzer")
-    pub fn parent_of(&self, a: usize) -> Option<usize> {
+    pub(crate) fn parent_of(&self, a: usize) -> Option<usize> {
         let p = self.parent[a];
         (p != NO_PARENT).then_some(p as usize)
     }
 
     /// The rank of receiver `r`'s access link (last link of its route);
     /// its fate decides `r`'s end-to-end delivery.
-    // mlf-lint: allow(unused-pub, reason = "documented public API of the exported index; doc links and in-crate consumers are invisible to the analyzer")
-    pub fn last_rank(&self, r: usize) -> usize {
+    pub(crate) fn last_rank(&self, r: usize) -> usize {
         self.route_ranks[self.route_start[r + 1] as usize - 1] as usize
     }
 
     /// Check every index invariant against ground-truth per-receiver
     /// `effective` levels; returns the first violation as an error string.
     /// Used by the membership property tests.
-    // mlf-lint: allow(unused-pub, reason = "documented public API; doc examples and links are invisible to the analyzer")
-    pub fn check_invariants(&self, effective: &[usize]) -> Result<(), String> {
+    pub(crate) fn check_invariants(&self, effective: &[usize]) -> Result<(), String> {
         if effective.len() != self.receiver_count {
             return Err("level slice length mismatch".into());
         }
@@ -639,14 +611,31 @@ impl LinkLevelIndex {
 mod tests {
     use super::*;
 
+    /// Receivers actively subscribed to `layer`, ascending.
+    fn members(ix: &LevelIndex, layer: usize) -> Vec<usize> {
+        let mut out = Vec::new();
+        for (w, &word) in ix.subscribers(layer).iter().enumerate() {
+            let mut word = word;
+            while word != 0 {
+                out.push(w * 64 + word.trailing_zeros() as usize);
+                word &= word - 1;
+            }
+        }
+        out
+    }
+
+    fn count(ix: &LevelIndex, layer: usize) -> usize {
+        members(ix, layer).len()
+    }
+
     #[test]
     fn initial_state_indexes_everyone_at_the_initial_level() {
         let ix = LevelIndex::new(130, 4, 2);
         assert_eq!(ix.max_effective(), 2);
         assert_eq!(ix.effective_count(2), 130);
-        assert_eq!(ix.subscriber_count(1), 130);
-        assert_eq!(ix.subscriber_count(2), 130);
-        assert_eq!(ix.subscriber_count(3), 0);
+        assert_eq!(count(&ix, 1), 130);
+        assert_eq!(count(&ix, 2), 130);
+        assert_eq!(count(&ix, 3), 0);
         let levels = vec![2usize; 130];
         ix.check_invariants(&levels, &levels).unwrap();
     }
@@ -660,16 +649,14 @@ mod tests {
         ix.active_changed(65, 1, 5);
         assert_eq!(ix.max_effective(), 5);
         assert_eq!(ix.effective_count(5), 1);
-        assert_eq!(ix.subscriber_count(5), 1);
-        let mut seen = Vec::new();
-        ix.for_each_subscriber(3, |r| seen.push(r));
-        assert_eq!(seen, vec![65]);
+        assert_eq!(count(&ix, 5), 1);
+        assert_eq!(members(&ix, 3), vec![65]);
         // Back down to 2: the cached max repairs by scanning down.
         ix.effective_changed(65, 5, 2);
         ix.active_changed(65, 5, 2);
         assert_eq!(ix.max_effective(), 2);
-        assert_eq!(ix.subscriber_count(3), 0);
-        assert_eq!(ix.subscriber_count(2), 1);
+        assert_eq!(count(&ix, 3), 0);
+        assert_eq!(count(&ix, 2), 1);
     }
 
     #[test]
@@ -679,16 +666,14 @@ mod tests {
             ix.effective_changed(r, 1, 2);
             ix.active_changed(r, 1, 2);
         }
-        let mut seen = Vec::new();
-        ix.for_each_subscriber(2, |r| seen.push(r));
-        assert_eq!(seen, vec![3, 64, 77, 130, 199]);
+        assert_eq!(members(&ix, 2), vec![3, 64, 77, 130, 199]);
     }
 
     #[test]
     fn empty_index_is_degenerate() {
         let ix = LevelIndex::new(0, 4, 1);
         assert_eq!(ix.max_effective(), 0);
-        assert_eq!(ix.subscriber_count(1), 0);
+        assert_eq!(count(&ix, 1), 0);
         ix.check_invariants(&[], &[]).unwrap();
     }
 
@@ -701,8 +686,8 @@ mod tests {
         assert_eq!(ix.receiver_count(), 64);
         assert_eq!(ix.layer_count(), 3);
         assert_eq!(ix.max_effective(), 2);
-        assert_eq!(ix.subscriber_count(2), 64);
-        assert_eq!(ix.subscriber_count(3), 0);
+        assert_eq!(count(&ix, 2), 64);
+        assert_eq!(count(&ix, 3), 0);
         let levels = vec![2usize; 64];
         ix.check_invariants(&levels, &levels).unwrap();
     }

@@ -56,7 +56,7 @@ pub use engine::{
     run_star, run_star_into, Action, LayerInterleaver, MarkerSource, NoMarkers, PacketEvent,
     ReceiverController, StarConfig, StarReport, StarScratch,
 };
-pub use events::{EventQueue, Tick};
+pub use events::Tick;
 pub use index::{LevelIndex, LinkLevelIndex};
 pub use loss::LossProcess;
 pub use multicast::MembershipTable;

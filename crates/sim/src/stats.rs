@@ -64,16 +64,6 @@ impl RunningStats {
         self.max = self.max.max(other.max);
     }
 
-    /// Build from a slice of observations.
-    // mlf-lint: allow(unused-pub, reason = "intentional API surface kept public alongside its siblings")
-    pub fn from_slice(xs: &[f64]) -> Self {
-        let mut s = Self::new();
-        for &x in xs {
-            s.push(x);
-        }
-        s
-    }
-
     /// Number of observations.
     pub fn count(&self) -> u64 {
         self.n
@@ -85,8 +75,7 @@ impl RunningStats {
     }
 
     /// Unbiased sample variance. Zero for fewer than two observations.
-    // mlf-lint: allow(unused-pub, reason = "documented public API; doc examples and links are invisible to the analyzer")
-    pub fn variance(&self) -> f64 {
+    pub(crate) fn variance(&self) -> f64 {
         if self.n < 2 {
             0.0
         } else {
@@ -124,27 +113,23 @@ impl RunningStats {
     pub fn max(&self) -> f64 {
         self.max
     }
-
-    /// Relative 95% CI half-width (`ci95 / mean`), the "variance less than
-    /// 1% with 95% confidence" figure-of-merit the paper quotes. Zero when
-    /// the mean is zero.
-    // mlf-lint: allow(unused-pub, reason = "intentional API surface kept public alongside its siblings")
-    pub fn relative_ci95(&self) -> f64 {
-        if self.mean == 0.0 {
-            0.0
-        } else {
-            self.ci95_half_width() / self.mean.abs()
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    fn from_slice(xs: &[f64]) -> RunningStats {
+        let mut s = RunningStats::new();
+        for &x in xs {
+            s.push(x);
+        }
+        s
+    }
+
     #[test]
     fn matches_closed_form_on_small_sample() {
-        let s = RunningStats::from_slice(&[2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0]);
+        let s = from_slice(&[2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0]);
         assert_eq!(s.count(), 8);
         assert!((s.mean() - 5.0).abs() < 1e-12);
         // Sample variance (n-1): Σ(x-5)^2 = 32, /7.
@@ -158,7 +143,7 @@ mod tests {
         let s = RunningStats::new();
         assert_eq!(s.count(), 0);
         assert_eq!(s.variance(), 0.0);
-        let s = RunningStats::from_slice(&[3.0]);
+        let s = from_slice(&[3.0]);
         assert_eq!(s.mean(), 3.0);
         assert_eq!(s.variance(), 0.0);
         assert_eq!(s.ci95_half_width(), 0.0);
@@ -166,7 +151,7 @@ mod tests {
 
     #[test]
     fn ci_shrinks_with_sample_size() {
-        let small = RunningStats::from_slice(&[1.0, 2.0, 3.0, 4.0]);
+        let small = from_slice(&[1.0, 2.0, 3.0, 4.0]);
         let mut big = RunningStats::new();
         for _ in 0..25 {
             for x in [1.0, 2.0, 3.0, 4.0] {
@@ -174,16 +159,15 @@ mod tests {
             }
         }
         assert!(big.ci95_half_width() < small.ci95_half_width() / 2.0);
-        assert!(big.relative_ci95() < 0.1);
     }
 
     #[test]
     fn merge_matches_pushing_everything_into_one_accumulator() {
         let xs = [2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0];
-        let whole = RunningStats::from_slice(&xs);
+        let whole = from_slice(&xs);
         for split in 0..=xs.len() {
-            let mut left = RunningStats::from_slice(&xs[..split]);
-            let right = RunningStats::from_slice(&xs[split..]);
+            let mut left = from_slice(&xs[..split]);
+            let right = from_slice(&xs[split..]);
             left.merge(&right);
             assert_eq!(left.count(), whole.count(), "split {split}");
             assert!((left.mean() - whole.mean()).abs() < 1e-12, "split {split}");
@@ -207,7 +191,7 @@ mod tests {
     fn welford_is_stable_for_large_offsets() {
         // Classic catastrophic-cancellation case for naive sum-of-squares.
         let base = 1e9;
-        let s = RunningStats::from_slice(&[base + 1.0, base + 2.0, base + 3.0]);
+        let s = from_slice(&[base + 1.0, base + 2.0, base + 3.0]);
         assert!((s.variance() - 1.0).abs() < 1e-6);
     }
 }

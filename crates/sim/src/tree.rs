@@ -87,7 +87,7 @@ pub struct TreeConfig {
 
 /// A tree run configuration [`run_tree`] cannot execute. See the module
 /// docs for the full contract; every variant names the offending input.
-// mlf-lint: allow(unused-pub, reason = "the typed error contract of run_tree; workspace tests match it via expect, invisibly to the analyzer")
+// mlf-lint: allow(unused-pub, reason = "returned by the public run_tree that the root differential tests call; re-exported by pub use tree::TreeConfigError")
 #[derive(Debug, Clone, PartialEq)]
 pub enum TreeConfigError {
     /// The network holds `sessions` sessions; the engine wants exactly one.
