@@ -12,9 +12,10 @@
 //! `cargo bench -p mlf-bench --bench star_engine`
 
 use mlf_bench::paired::{assert_floor, median_time_ratio};
-use mlf_protocols::{make_receiver, CoordinatedSender, ProtocolKind};
-use mlf_sim::engine::{MarkerSource, NoMarkers, ReceiverController, StarConfig, StarReport};
-use mlf_sim::{reference, run_star_into, SimRng, StarScratch, Tick};
+use mlf_protocols::experiment::trial_rig;
+use mlf_protocols::ProtocolKind;
+use mlf_sim::engine::{StarConfig, StarReport};
+use mlf_sim::{reference, run_star_into, StarScratch};
 use std::hint::black_box;
 
 const RECEIVERS: usize = 100;
@@ -27,36 +28,8 @@ const SEED: u64 = 0x51_66_C0_99;
 /// acceptance bar was 3x.
 const STAR_FLOOR: f64 = 4.0;
 
-enum Markers {
-    None(NoMarkers),
-    Coordinated(CoordinatedSender),
-}
-
-impl MarkerSource for Markers {
-    fn marker(&mut self, slot: Tick, layer: usize) -> Option<usize> {
-        match self {
-            Markers::None(m) => m.marker(slot, layer),
-            Markers::Coordinated(m) => m.marker(slot, layer),
-        }
-    }
-}
-
 fn paper_config() -> StarConfig {
     StarConfig::figure8(LAYERS, RECEIVERS, 0.0001, 0.05)
-}
-
-/// Controllers and marker source exactly as the Figure 8 `TrialRig` wires
-/// them.
-fn rig(kind: ProtocolKind) -> (Vec<Box<dyn ReceiverController>>, Markers) {
-    let base = SimRng::seed_from_u64(SEED ^ 0xABCD_EF01_2345_6789);
-    let controllers = (0..RECEIVERS)
-        .map(|r| make_receiver(kind, base.split(1_000_000 + r as u64)))
-        .collect();
-    let markers = match kind {
-        ProtocolKind::Coordinated => Markers::Coordinated(CoordinatedSender::new(LAYERS)),
-        _ => Markers::None(NoMarkers),
-    };
-    (controllers, markers)
 }
 
 /// One indexed run through reusable scratch (the production trial path).
@@ -67,12 +40,12 @@ fn run_indexed(
     report: &mut StarReport,
     scratch: &mut StarScratch,
 ) {
-    let (mut ctls, mut mk) = rig(kind);
+    let (mut ctls, mut mk) = trial_rig(kind, RECEIVERS, LAYERS, SEED);
     run_star_into(cfg, &mut ctls, &mut mk, slots, SEED, report, scratch);
 }
 
 fn run_reference(cfg: &StarConfig, kind: ProtocolKind, slots: u64) -> StarReport {
-    let (mut ctls, mut mk) = rig(kind);
+    let (mut ctls, mut mk) = trial_rig(kind, RECEIVERS, LAYERS, SEED);
     reference::run_star(cfg, &mut ctls, &mut mk, slots, SEED)
 }
 

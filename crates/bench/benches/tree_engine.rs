@@ -16,11 +16,12 @@
 //! `cargo bench -p mlf-bench --bench tree_engine`
 
 use mlf_bench::paired::{assert_floor, median_time_ratio};
+use mlf_layering::LayerSchedule;
 use mlf_net::{Graph, LinkId, Network, Session};
-use mlf_protocols::{make_receiver, CoordinatedSender, ProtocolKind};
-use mlf_sim::engine::{MarkerSource, NoMarkers, ReceiverController};
+use mlf_protocols::experiment::trial_rig;
+use mlf_protocols::ProtocolKind;
 use mlf_sim::tree::{run_tree_into, TreeConfig, TreeReport, TreeScratch};
-use mlf_sim::{reference_tree, LossProcess, SimRng, Tick};
+use mlf_sim::{reference_tree, LossProcess};
 use std::hint::black_box;
 
 const LAYERS: usize = 8;
@@ -65,20 +66,6 @@ const ACCEPTANCE: Floor = Floor {
     floor: 5.0,
 };
 
-enum Markers {
-    None(NoMarkers),
-    Coordinated(CoordinatedSender),
-}
-
-impl MarkerSource for Markers {
-    fn marker(&mut self, slot: Tick, layer: usize) -> Option<usize> {
-        match self {
-            Markers::None(m) => m.marker(slot, layer),
-            Markers::Coordinated(m) => m.marker(slot, layer),
-        }
-    }
-}
-
 /// A complete `arity`-ary tree of the given depth with every leaf a
 /// receiver, built with explicit routes: recording each node's root path
 /// during construction and handing them to [`Network::with_routes`] skips
@@ -108,15 +95,7 @@ fn leaf_tree(arity: usize, depth: usize) -> Network {
 
 fn config(net: &Network) -> TreeConfig {
     TreeConfig {
-        layer_rates: (0..LAYERS)
-            .map(|i| {
-                if i == 0 {
-                    1.0
-                } else {
-                    (1u64 << (i - 1)) as f64
-                }
-            })
-            .collect(),
+        layer_rates: LayerSchedule::exponential(LAYERS).rates().to_vec(),
         link_loss: vec![LossProcess::bernoulli(0.03); net.link_count()],
         join_latency: 0,
         leave_latency: 0,
@@ -125,18 +104,6 @@ fn config(net: &Network) -> TreeConfig {
 
 fn receivers_of(net: &Network) -> usize {
     net.session(mlf_net::SessionId(0)).receivers.len()
-}
-
-fn rig(kind: ProtocolKind, receivers: usize) -> (Vec<Box<dyn ReceiverController>>, Markers) {
-    let base = SimRng::seed_from_u64(SEED ^ 0xABCD_EF01_2345_6789);
-    let controllers = (0..receivers)
-        .map(|r| make_receiver(kind, base.split(1_000_000 + r as u64)))
-        .collect();
-    let markers = match kind {
-        ProtocolKind::Coordinated => Markers::Coordinated(CoordinatedSender::new(LAYERS)),
-        _ => Markers::None(NoMarkers),
-    };
-    (controllers, markers)
 }
 
 /// One bitset run through reusable scratch (the production trial path).
@@ -148,13 +115,13 @@ fn run_bitset(
     report: &mut TreeReport,
     scratch: &mut TreeScratch,
 ) {
-    let (mut ctls, mut mk) = rig(kind, receivers_of(net));
+    let (mut ctls, mut mk) = trial_rig(kind, receivers_of(net), LAYERS, SEED);
     run_tree_into(net, cfg, &mut ctls, &mut mk, slots, SEED, report, scratch)
         .expect("bench configuration is valid");
 }
 
 fn run_reference(net: &Network, cfg: &TreeConfig, kind: ProtocolKind, slots: u64) -> TreeReport {
-    let (mut ctls, mut mk) = rig(kind, receivers_of(net));
+    let (mut ctls, mut mk) = trial_rig(kind, receivers_of(net), LAYERS, SEED);
     reference_tree::run_tree(net, cfg, &mut ctls, &mut mk, slots, SEED)
 }
 

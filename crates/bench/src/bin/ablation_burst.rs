@@ -9,10 +9,8 @@
 //!    [--trials 5] [--packets 30000] [--receivers 30] [--loss 0.03]`
 
 use mlf_bench::{cli, knob, or_exit, write_csv, Args, Table};
-use mlf_protocols::{make_receiver, validate_loss, CoordinatedSender, ProtocolKind};
-use mlf_sim::{
-    run_star, LossProcess, NoMarkers, ReceiverController, RunningStats, SimRng, StarConfig,
-};
+use mlf_protocols::{make_receiver, validate_loss, ProtocolKind, Sender};
+use mlf_sim::{run_star, LossProcess, RunningStats, SimRng, StarConfig};
 
 const KNOBS: &[cli::Knob] = &[
     knob("trials", "5", "trials per point"),
@@ -106,21 +104,11 @@ fn run_once(
     let mut cfg = StarConfig::figure8(layers, receivers, 0.0001, 0.0);
     cfg.fanout_loss = vec![fanout; receivers];
     let base = SimRng::seed_from_u64(0xB065_7000 + trial);
-    let mut controllers: Vec<Box<dyn ReceiverController>> = (0..receivers)
+    let mut controllers: Vec<_> = (0..receivers)
         .map(|r| make_receiver(kind, base.split(r as u64)))
         .collect();
-    let report = match kind {
-        ProtocolKind::Coordinated => {
-            let mut sender = CoordinatedSender::new(layers);
-            run_star(&cfg, &mut controllers, &mut sender, packets, 0x2B + trial)
-        }
-        _ => run_star(
-            &cfg,
-            &mut controllers,
-            &mut NoMarkers,
-            packets,
-            0x2B + trial,
-        ),
-    };
-    report.shared_redundancy().unwrap_or(1.0)
+    let mut sender = Sender::new(kind, layers);
+    run_star(&cfg, &mut controllers, &mut sender, packets, 0x2B + trial)
+        .shared_redundancy()
+        .unwrap_or(1.0)
 }

@@ -8,11 +8,12 @@
 //!    [--depth 3] [--loss 0.03] [--packets 40000] [--trials 3]`
 
 use mlf_bench::{cli, knob, or_exit, write_csv, Args, Table};
+use mlf_layering::LayerSchedule;
 use mlf_net::{LinkId, Network, Session};
-use mlf_protocols::{make_receiver, validate_loss, CoordinatedSender, ProtocolKind};
+use mlf_protocols::{make_receiver, validate_loss, ProtocolKind, Sender};
 use mlf_sim::{
     tree::{run_tree_expect, TreeConfig},
-    LossProcess, NoMarkers, ReceiverController, RunningStats, SimRng,
+    LossProcess, RunningStats, SimRng,
 };
 
 const KNOBS: &[cli::Knob] = &[
@@ -76,10 +77,19 @@ fn main() {
     println!("series written to {}", path.display());
 }
 
-/// Refuse knob values that leave the tree without receivers, a trial
-/// without packets, the table without trials, or a loss that is not a
-/// probability.
+/// The deepest tree `--depth` accepts. The tree doubles with each level
+/// (2^(d+1) − 1 nodes) and `Network::new` routes every leaf on its own, so
+/// depth 16 is already slow; an unbounded depth would exhaust memory
+/// instead of exiting.
+const MAX_DEPTH: usize = 16;
+
+/// Refuse knob values that leave the tree without receivers or too deep to
+/// build, a trial without packets, the table without trials, or a loss that
+/// is not a probability.
 fn check_knobs(depth: usize, loss: f64, packets: u64, trials: usize) -> Result<(), String> {
+    if depth > MAX_DEPTH {
+        return Err(format!("--depth must be at most {MAX_DEPTH}, got {depth}"));
+    }
     for (knob, value) in [
         ("depth", depth as u64),
         ("packets", packets),
@@ -125,43 +135,23 @@ fn run_once(
 ) -> mlf_sim::TreeReport {
     let layers = 8;
     let cfg = TreeConfig {
-        layer_rates: (0..layers)
-            .map(|i| {
-                if i == 0 {
-                    1.0
-                } else {
-                    (1u64 << (i - 1)) as f64
-                }
-            })
-            .collect(),
+        layer_rates: LayerSchedule::exponential(layers).rates().to_vec(),
         link_loss: vec![LossProcess::bernoulli(loss); net.link_count()],
         join_latency: 0,
         leave_latency: 0,
     };
     let n = net.session(mlf_net::SessionId(0)).receivers.len();
     let base = SimRng::seed_from_u64(0x7EEE + trial);
-    let mut controllers: Vec<Box<dyn ReceiverController>> = (0..n)
+    let mut controllers: Vec<_> = (0..n)
         .map(|r| make_receiver(kind, base.split(r as u64)))
         .collect();
-    match kind {
-        ProtocolKind::Coordinated => {
-            let mut sender = CoordinatedSender::new(layers);
-            run_tree_expect(
-                net,
-                &cfg,
-                &mut controllers,
-                &mut sender,
-                packets,
-                0x11 + trial,
-            )
-        }
-        _ => run_tree_expect(
-            net,
-            &cfg,
-            &mut controllers,
-            &mut NoMarkers,
-            packets,
-            0x11 + trial,
-        ),
-    }
+    let mut sender = Sender::new(kind, layers);
+    run_tree_expect(
+        net,
+        &cfg,
+        &mut controllers,
+        &mut sender,
+        packets,
+        0x11 + trial,
+    )
 }

@@ -17,8 +17,8 @@
 //! `cargo run --release -p mlf-bench --bin fig8_protocols -- --trials 5 --packets 30000 --receivers 40`
 //!
 //! `--sweep-seeds N` pools N replicate base seeds per grid cell (the
-//! per-cell statistics merge the replicates' trials exactly; the default 1
-//! reproduces the classic `figure8_series` numbers bit for bit).
+//! per-cell statistics merge the replicates' trials exactly; with the
+//! default 1 each cell is one `run_point` at the template's seed).
 
 use mlf_bench::{cli, knob, or_exit, write_csv, Args, Table};
 use mlf_protocols::{ExperimentParams, ProtocolKind};
@@ -99,10 +99,7 @@ fn main() {
         .build()
         .expect("template was validated above");
 
-    let losses: Vec<f64> = (0..points)
-        .map(|i| 0.1 * i as f64 / (points - 1) as f64)
-        .collect();
-    let grid = ProtocolSweepGrid::independent_losses(losses.iter().copied())
+    let grid = ProtocolSweepGrid::figure8_axis(points)
         .with_seeds(template.seed..template.seed + sweep_seeds);
 
     println!(

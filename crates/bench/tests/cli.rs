@@ -148,6 +148,22 @@ fn experiment_binaries_refuse_zero_counts() {
         (
             FIG8,
             &[
+                "--layers",
+                "60",
+                "--trials",
+                "1",
+                "--packets",
+                "10",
+                "--receivers",
+                "2",
+                "--points",
+                "2",
+            ],
+            "error: layers must be at most 59, got 60",
+        ),
+        (
+            FIG8,
+            &[
                 "--trials",
                 "0",
                 "--points",
@@ -230,6 +246,11 @@ fn binaries_refuse_knobs_their_library_would_panic_on() {
             TREE,
             &["--depth", "0", "--trials", "1", "--packets", "1000"],
             "error: --depth must be at least 1",
+        ),
+        (
+            TREE,
+            &["--depth", "17", "--trials", "1", "--packets", "1000"],
+            "error: --depth must be at most 16, got 17",
         ),
     ]);
 }

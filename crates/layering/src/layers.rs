@@ -25,6 +25,9 @@ pub struct LayerSchedule {
 }
 
 impl LayerSchedule {
+    /// The most layers [`LayerSchedule::exponential`] builds.
+    pub const MAX_EXPONENTIAL_LAYERS: usize = 59;
+
     /// Build a schedule from explicit per-layer rates.
     ///
     /// # Panics
@@ -54,8 +57,15 @@ impl LayerSchedule {
     /// The Section 4 exponential schedule: aggregate of layers `1..=i` is
     /// `2^{i−1}` (in units of the base rate), so per-layer rates are
     /// `1, 1, 2, 4, ..., 2^{M−2}`.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `1 <= layers <= MAX_EXPONENTIAL_LAYERS`.
     pub fn exponential(layers: usize) -> Self {
-        assert!((1..60).contains(&layers), "layer count out of range");
+        assert!(
+            (1..=Self::MAX_EXPONENTIAL_LAYERS).contains(&layers),
+            "layer count out of range"
+        );
         let rates = (0..layers)
             .map(|i| {
                 if i == 0 {
@@ -73,10 +83,10 @@ impl LayerSchedule {
         self.rates.len()
     }
 
-    /// Rate of layer `L_i` (1-based, matching the paper's numbering).
-    pub fn layer_rate(&self, i: usize) -> f64 {
-        assert!(i >= 1 && i <= self.rates.len(), "layer index out of range");
-        self.rates[i - 1]
+    /// The per-layer rates, `rates()[i]` being layer `L_{i+1}`'s — the
+    /// ladder the packet engines interleave.
+    pub fn rates(&self) -> &[f64] {
+        &self.rates
     }
 
     /// Aggregate rate at subscription level `level ∈ 0..=M`.
@@ -121,10 +131,7 @@ mod tests {
         for i in 1..=8 {
             assert_eq!(s.cumulative_rate(i), (1u64 << (i - 1)) as f64, "level {i}");
         }
-        assert_eq!(s.layer_rate(1), 1.0);
-        assert_eq!(s.layer_rate(2), 1.0);
-        assert_eq!(s.layer_rate(3), 2.0);
-        assert_eq!(s.layer_rate(8), 64.0);
+        assert_eq!(s.rates(), &[1.0, 1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0]);
         assert_eq!(s.total_rate(), 128.0);
     }
 

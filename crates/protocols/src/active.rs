@@ -128,14 +128,7 @@ pub fn run_trial_active(
     params: &crate::experiment::ExperimentParams,
     trial: usize,
 ) -> mlf_sim::StarReport {
-    let mut cfg = mlf_sim::StarConfig::figure8(
-        params.layers,
-        params.receivers,
-        params.shared_loss,
-        params.independent_loss,
-    );
-    cfg.join_latency = params.join_latency;
-    cfg.leave_latency = params.leave_latency;
+    let cfg = params.star_config();
     let seed = params.seed.wrapping_add(trial as u64);
     let (mut controllers, _state) = active_node_controllers(params.receivers, params.layers);
     mlf_sim::run_star(

@@ -4,15 +4,16 @@
 //! For each `(shared loss, independent loss, protocol)` point the paper runs
 //! 30 trials of 100,000 transmitted packets with 8 layers and 100 receivers
 //! sharing identical end-to-end loss rates, and plots the mean shared-link
-//! redundancy. [`run_point`] reproduces one such point; [`figure8_series`]
-//! sweeps the independent-loss axis for all three protocols.
+//! redundancy. [`run_point`] reproduces one such point; [`trial_rig`] is
+//! the one place a trial's receivers and sender are wired from its seed.
 
 use crate::config::ProtocolKind;
 use crate::receiver::make_receiver;
-use crate::sender::CoordinatedSender;
+use crate::sender::Sender;
+use mlf_layering::LayerSchedule;
 use mlf_sim::{
-    run_star_into, MarkerSource, NoMarkers, ReceiverController, RunningStats, SimRng, StarConfig,
-    StarReport, StarScratch, Tick,
+    run_star_into, ReceiverController, RunningStats, SimRng, StarConfig, StarReport, StarScratch,
+    Tick,
 };
 
 /// A value that cannot parameterize an experiment.
@@ -44,6 +45,9 @@ pub enum ExperimentParamError {
     },
     /// `layers` was zero.
     ZeroLayers,
+    /// `layers` exceeded what the exponential ladder can build
+    /// ([`LayerSchedule::MAX_EXPONENTIAL_LAYERS`]).
+    TooManyLayers(usize),
     /// `receivers` was zero.
     ZeroReceivers,
     /// `packets` was zero.
@@ -62,6 +66,11 @@ impl std::fmt::Display for ExperimentParamError {
                 write!(f, "{which} loss rate {value} is outside [0, 1)")
             }
             ExperimentParamError::ZeroLayers => f.write_str("layers must be at least 1"),
+            ExperimentParamError::TooManyLayers(layers) => write!(
+                f,
+                "layers must be at most {}, got {layers}",
+                LayerSchedule::MAX_EXPONENTIAL_LAYERS
+            ),
             ExperimentParamError::ZeroReceivers => f.write_str("receivers must be at least 1"),
             ExperimentParamError::ZeroPackets => f.write_str("packets must be at least 1"),
             ExperimentParamError::ZeroTrials => f.write_str("trials must be at least 1"),
@@ -146,8 +155,9 @@ impl ExperimentParams {
         .validated()
     }
 
-    /// Check both loss probabilities (finite, in `[0, 1)`) and that
-    /// `layers`, `receivers`, `packets` and `trials` are nonzero.
+    /// Check both loss probabilities (finite, in `[0, 1)`), that
+    /// `layers`, `receivers`, `packets` and `trials` are nonzero, and that
+    /// the exponential ladder has room for `layers`.
     ///
     /// The fields are public (struct-update syntax is how the binaries and
     /// tests tweak shapes), so a hand-built value can still carry a bad
@@ -157,6 +167,9 @@ impl ExperimentParams {
         validate_loss("independent", self.independent_loss)?;
         if self.layers == 0 {
             return Err(ExperimentParamError::ZeroLayers);
+        }
+        if self.layers > LayerSchedule::MAX_EXPONENTIAL_LAYERS {
+            return Err(ExperimentParamError::TooManyLayers(self.layers));
         }
         if self.receivers == 0 {
             return Err(ExperimentParamError::ZeroReceivers);
@@ -185,6 +198,17 @@ impl ExperimentParams {
             ..self
         }
         .validated()
+    }
+
+    /// The Figure 8 star these parameters describe, latencies included.
+    pub(crate) fn star_config(&self) -> StarConfig {
+        StarConfig::figure8(
+            self.layers,
+            self.receivers,
+            self.shared_loss,
+            self.independent_loss,
+        )
+        .with_latencies(self.join_latency, self.leave_latency)
     }
 }
 
@@ -217,44 +241,39 @@ pub struct PointOutcome {
     pub receiver_mean_level: RunningStats,
 }
 
-enum Markers {
-    None(NoMarkers),
-    Coordinated(CoordinatedSender),
-}
-
-impl MarkerSource for Markers {
-    fn marker(&mut self, slot: Tick, layer: usize) -> Option<usize> {
-        match self {
-            Markers::None(m) => m.marker(slot, layer),
-            Markers::Coordinated(m) => m.marker(slot, layer),
-        }
-    }
+/// One trial's receiver controllers and sender, wired from the trial seed:
+/// receiver `r` runs `kind` on its own RNG substream `1_000_000 + r` split
+/// off `trial_seed ^ 0xABCD_EF01_2345_6789`, and the sender marks joins
+/// only under Coordinated. Every Figure 8 trial, and every engine
+/// differential and bench that replays one, is wired here.
+pub fn trial_rig(
+    kind: ProtocolKind,
+    receivers: usize,
+    layers: usize,
+    trial_seed: u64,
+) -> (Vec<Box<dyn ReceiverController>>, Sender) {
+    let base = SimRng::seed_from_u64(trial_seed ^ 0xABCD_EF01_2345_6789);
+    let controllers = (0..receivers)
+        .map(|r| make_receiver(kind, base.split(1_000_000 + r as u64)))
+        .collect();
+    (controllers, Sender::new(kind, layers))
 }
 
 /// Reusable state for a point's trial loop: the star configuration (shared
-/// by every trial of the point), the engine's loss/RNG scratch, the output
-/// report buffers, and the per-receiver controller vector. One `TrialRig`
-/// runs any number of trials of one `(protocol, params)` pair with no
-/// steady-state allocation beyond the per-trial controller boxes.
+/// by every trial of the point), the engine's loss/RNG scratch and the
+/// output report buffers. One `TrialRig` runs any number of trials of one
+/// `(protocol, params)` pair with no steady-state allocation beyond the
+/// per-trial [`trial_rig`].
 struct TrialRig {
     cfg: StarConfig,
-    controllers: Vec<Box<dyn ReceiverController>>,
     report: StarReport,
     scratch: StarScratch,
 }
 
 impl TrialRig {
     fn new(params: &ExperimentParams) -> Self {
-        let cfg = StarConfig::figure8(
-            params.layers,
-            params.receivers,
-            params.shared_loss,
-            params.independent_loss,
-        )
-        .with_latencies(params.join_latency, params.leave_latency);
         TrialRig {
-            cfg,
-            controllers: Vec::with_capacity(params.receivers),
+            cfg: params.star_config(),
             report: StarReport::default(),
             scratch: StarScratch::default(),
         }
@@ -266,21 +285,11 @@ impl TrialRig {
     /// loss processes, RNG streams) is rebuilt from the trial seed.
     fn run(&mut self, kind: ProtocolKind, params: &ExperimentParams, trial: usize) -> &StarReport {
         let seed = params.seed.wrapping_add(trial as u64);
-        let base = SimRng::seed_from_u64(seed ^ 0xABCD_EF01_2345_6789);
-        self.controllers.clear();
-        self.controllers.extend(
-            (0..params.receivers).map(|r| make_receiver(kind, base.split(1_000_000 + r as u64))),
-        );
-        let mut markers = match kind {
-            ProtocolKind::Coordinated => {
-                Markers::Coordinated(CoordinatedSender::new(params.layers))
-            }
-            _ => Markers::None(NoMarkers),
-        };
+        let (mut controllers, mut sender) = trial_rig(kind, params.receivers, params.layers, seed);
         run_star_into(
             &self.cfg,
-            &mut self.controllers,
-            &mut markers,
+            &mut controllers,
+            &mut sender,
             params.packets,
             seed,
             &mut self.report,
@@ -336,41 +345,6 @@ pub fn run_point(kind: ProtocolKind, params: &ExperimentParams) -> PointOutcome 
         receiver_goodput,
         receiver_mean_level,
     }
-}
-
-/// One x-axis point of Figure 8: all three protocols at one independent-loss
-/// value.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Figure8Point {
-    /// The fanout-link loss rate (x-axis).
-    pub independent_loss: f64,
-    /// Outcomes ordered as [`ProtocolKind::ALL`].
-    pub outcomes: Vec<PointOutcome>,
-}
-
-/// Sweep the independent-loss axis for all three protocols at a fixed
-/// shared loss — one full Figure 8 panel. `template` supplies everything
-/// except the independent loss.
-pub fn figure8_series(
-    template: &ExperimentParams,
-    independent_losses: &[f64],
-) -> Vec<Figure8Point> {
-    independent_losses
-        .iter()
-        .map(|&p| {
-            let params = ExperimentParams {
-                independent_loss: p,
-                ..*template
-            };
-            Figure8Point {
-                independent_loss: p,
-                outcomes: ProtocolKind::ALL
-                    .iter()
-                    .map(|&kind| run_point(kind, &params))
-                    .collect(),
-            }
-        })
-        .collect()
 }
 
 #[cfg(test)]
@@ -513,7 +487,7 @@ mod tests {
     }
 
     #[test]
-    fn zero_counts_are_rejected_with_typed_errors() {
+    fn out_of_range_counts_are_rejected_with_typed_errors() {
         let template = ExperimentParams::quick(0.0001, 0.0).unwrap();
         let zeroed = [
             (
@@ -522,6 +496,13 @@ mod tests {
                     ..template
                 },
                 ExperimentParamError::ZeroLayers,
+            ),
+            (
+                ExperimentParams {
+                    layers: 60,
+                    ..template
+                },
+                ExperimentParamError::TooManyLayers(60),
             ),
             (
                 ExperimentParams {
@@ -552,7 +533,11 @@ mod tests {
             ExperimentParamError::ZeroTrials.to_string(),
             "trials must be at least 1"
         );
-        // One of each is enough.
+        assert_eq!(
+            ExperimentParamError::TooManyLayers(60).to_string(),
+            "layers must be at most 59, got 60"
+        );
+        // One of each is enough, and the ladder's top is allowed.
         let smallest = ExperimentParams {
             layers: 1,
             receivers: 1,
@@ -561,6 +546,11 @@ mod tests {
             ..template
         };
         assert!(smallest.validate().is_ok());
+        let tallest = ExperimentParams {
+            layers: LayerSchedule::MAX_EXPONENTIAL_LAYERS,
+            ..template
+        };
+        assert!(tallest.validate().is_ok());
     }
 
     #[test]
@@ -614,23 +604,5 @@ mod tests {
         assert_eq!(a.offered, b.offered);
         let c = run_trial(ProtocolKind::Deterministic, &params, 1);
         assert_ne!(a.offered, c.offered);
-    }
-
-    #[test]
-    fn series_covers_all_protocols() {
-        let template = ExperimentParams {
-            trials: 2,
-            packets: 10_000,
-            receivers: 8,
-            ..ExperimentParams::quick(0.0001, 0.0).unwrap()
-        };
-        let series = figure8_series(&template, &[0.01, 0.05]);
-        assert_eq!(series.len(), 2);
-        for point in &series {
-            assert_eq!(point.outcomes.len(), 3);
-            for out in &point.outcomes {
-                assert_eq!(out.redundancy.count(), 2);
-            }
-        }
     }
 }

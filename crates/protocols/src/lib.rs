@@ -26,11 +26,13 @@
 //! a pure function of its [`ExperimentParams`], which is what lets
 //! `mlf-scenario`'s `ProtocolScenario` shard whole
 //! `(protocol × loss × seed)` grids across worker threads with bitwise
-//! serial/parallel agreement. [`figure8_series`] remains the serial
-//! reference for one full Figure 8 panel; parallel callers should prefer
-//! the scenario path. [`ExperimentParams::paper`]/[`ExperimentParams::quick`]
-//! reject non-finite or out-of-`[0,1)` loss probabilities with a typed
-//! [`ExperimentParamError`] instead of producing NaN trial statistics.
+//! serial/parallel agreement; a full Figure 8 panel is one such grid.
+//! [`experiment::trial_rig`] wires a trial's receivers and [`Sender`] from
+//! its seed. [`ExperimentParams::paper`]/[`ExperimentParams::quick`]
+//! reject non-finite or out-of-`[0,1)` loss probabilities and layer
+//! counts the exponential ladder cannot build with a typed
+//! [`ExperimentParamError`] instead of producing NaN trial statistics or a
+//! panic.
 //!
 //! ## Example
 //!
@@ -59,10 +61,9 @@ pub mod sender;
 pub use active::run_trial_active;
 pub use config::ProtocolKind;
 pub use experiment::{
-    figure8_series, run_point, run_trial, validate_loss, ExperimentParamError, ExperimentParams,
-    PointOutcome,
+    run_point, run_trial, validate_loss, ExperimentParamError, ExperimentParams, PointOutcome,
 };
 pub use markov::two_receiver_chain;
 pub use markov::{DenseChain, TwoReceiverModel};
 pub use receiver::make_receiver;
-pub use sender::CoordinatedSender;
+pub use sender::{CoordinatedSender, Sender};

@@ -19,7 +19,37 @@
 //! exactly the paper's pacing. The dyadic pattern means thresholds nest:
 //! `1, 2, 1, 3, 1, 2, 1, 4, ...` (the ruler sequence).
 
+use crate::config::ProtocolKind;
 use mlf_sim::{MarkerSource, Tick};
+
+/// The sender of a Section 4 session: the protocols differ only in how
+/// joins are coordinated, and only Coordinated has the sender mark them.
+#[derive(Debug, Clone)]
+pub enum Sender {
+    /// Uncoordinated and Deterministic: the sender emits no markers.
+    Silent,
+    /// Coordinated: the dyadic join-marker schedule.
+    Coordinated(CoordinatedSender),
+}
+
+impl Sender {
+    /// The sender `kind`'s receivers expect, for `layers` layers.
+    pub fn new(kind: ProtocolKind, layers: usize) -> Self {
+        match kind {
+            ProtocolKind::Coordinated => Sender::Coordinated(CoordinatedSender::new(layers)),
+            ProtocolKind::Uncoordinated | ProtocolKind::Deterministic => Sender::Silent,
+        }
+    }
+}
+
+impl MarkerSource for Sender {
+    fn marker(&mut self, slot: Tick, layer: usize) -> Option<usize> {
+        match self {
+            Sender::Silent => None,
+            Sender::Coordinated(s) => s.marker(slot, layer),
+        }
+    }
+}
 
 /// Sender-side marker scheduler for the Coordinated protocol.
 #[derive(Debug, Clone)]
@@ -102,6 +132,20 @@ mod tests {
                     .count();
                 assert_eq!(count, 1, "level {i}, window at {start}");
             }
+        }
+    }
+
+    #[test]
+    fn only_the_coordinated_sender_marks() {
+        for kind in ProtocolKind::ALL {
+            let mut s = Sender::new(kind, 8);
+            let marked = s.marker(0, 1).is_some();
+            assert_eq!(
+                marked,
+                kind == ProtocolKind::Coordinated,
+                "{}",
+                kind.label()
+            );
         }
     }
 

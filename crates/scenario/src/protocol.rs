@@ -2,10 +2,8 @@
 //!
 //! The Figure 8 protocol comparison — RLM-style uncoordinated joins versus
 //! deterministic and sender-coordinated join/leave behaviour under shared
-//! and independent loss — used to run only through the serial
-//! `mlf_protocols::experiment::figure8_series` loop, while allocator
-//! experiments already had the seed-sharded parallel engine. This module
-//! gives protocol grids the same treatment: a [`ProtocolScenario`] declares
+//! and independent loss — gets the same seed-sharded parallel engine as
+//! the allocator experiments: a [`ProtocolScenario`] declares
 //! the experiment template (star shape, packets, trials, latencies) once,
 //! a [`ProtocolSweepGrid`] spans `(protocol kind × independent-loss grid ×
 //! join/leave-latency pairs × trial seeds)`, and
@@ -15,10 +13,7 @@
 //! agreement** contract the allocator sweeps have, because every point is a
 //! pure function of its `(kind, loss, seed)` job (the simulator re-seeds
 //! its RNGs from the job; workers hold no cross-job state).
-//!
-//! [`ProtocolScenario::figure8`] regroups sweep points back into the
-//! `Figure8Point` shape, bitwise identical to the serial
-//! [`figure8_series`] for the same template and loss axis.
+//! A Figure 8 panel is the grid [`ProtocolSweepGrid::figure8_axis`].
 //!
 //! ## Example
 //!
@@ -45,8 +40,7 @@
 
 use crate::executor;
 use mlf_protocols::experiment::{
-    figure8_series, run_point, validate_loss, ExperimentParamError, ExperimentParams, Figure8Point,
-    PointOutcome,
+    run_point, validate_loss, ExperimentParamError, ExperimentParams, PointOutcome,
 };
 use mlf_protocols::ProtocolKind;
 use mlf_sim::Tick;
@@ -463,33 +457,6 @@ impl ProtocolScenario {
             points: executor::run_jobs_par(&jobs, threads, || (), |(), job| self.solve_job(job)),
         }
     }
-
-    /// One full Figure 8 panel — all three protocols across
-    /// `independent_losses` at the template's shared loss — computed through
-    /// the parallel executor and regrouped into the classic
-    /// [`Figure8Point`] shape.
-    ///
-    /// Bitwise identical to the serial
-    /// [`figure8_series`]`(template, independent_losses)` for the same
-    /// template, at any thread count.
-    pub fn figure8(&self, independent_losses: &[f64], threads: usize) -> Vec<Figure8Point> {
-        let grid = ProtocolSweepGrid::independent_losses(independent_losses.iter().copied());
-        let report = self.sweep_par(&grid, threads);
-        report
-            .points
-            .chunks(ProtocolKind::ALL.len())
-            .map(|cell| Figure8Point {
-                independent_loss: cell[0].independent_loss,
-                outcomes: cell.iter().map(|p| p.outcome.clone()).collect(),
-            })
-            .collect()
-    }
-
-    /// The serial reference for [`ProtocolScenario::figure8`] (delegates to
-    /// [`figure8_series`] on the scenario's template).
-    pub fn figure8_serial(&self, independent_losses: &[f64]) -> Vec<Figure8Point> {
-        figure8_series(&self.template, independent_losses)
-    }
 }
 
 #[cfg(test)]
@@ -597,16 +564,6 @@ mod tests {
         assert_eq!(serial.points.len(), 3 * 3 * 2);
         for threads in [0, 2, 3, 8, 64] {
             assert_eq!(serial, s.sweep_par(&grid, threads), "{threads} threads");
-        }
-    }
-
-    #[test]
-    fn figure8_matches_the_serial_series_bitwise() {
-        let s = tiny_scenario();
-        let losses = [0.0, 0.04, 0.09];
-        let serial = s.figure8_serial(&losses);
-        for threads in [1, 2, 4] {
-            assert_eq!(serial, s.figure8(&losses, threads), "{threads} threads");
         }
     }
 

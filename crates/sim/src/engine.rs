@@ -133,9 +133,10 @@ impl StarConfig {
         p_shared: f64,
         p_independent: f64,
     ) -> StarConfig {
-        let schedule = mlf_layering::LayerSchedule::exponential(layers);
         StarConfig {
-            layer_rates: (1..=layers).map(|i| schedule.layer_rate(i)).collect(),
+            layer_rates: mlf_layering::LayerSchedule::exponential(layers)
+                .rates()
+                .to_vec(),
             shared_loss: LossProcess::bernoulli(p_shared),
             fanout_loss: vec![LossProcess::bernoulli(p_independent); receivers],
             join_latency: 0,

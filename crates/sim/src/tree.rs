@@ -581,15 +581,9 @@ mod tests {
 
     fn lossless_cfg(net: &Network, layers: usize) -> TreeConfig {
         TreeConfig {
-            layer_rates: (0..layers)
-                .map(|i| {
-                    if i == 0 {
-                        1.0
-                    } else {
-                        (1u64 << (i - 1)) as f64
-                    }
-                })
-                .collect(),
+            layer_rates: mlf_layering::LayerSchedule::exponential(layers)
+                .rates()
+                .to_vec(),
             link_loss: vec![LossProcess::bernoulli(0.0); net.link_count()],
             join_latency: 0,
             leave_latency: 0,

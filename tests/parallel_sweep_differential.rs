@@ -2,9 +2,7 @@
 //! and `Scenario::sweep_grid_par` must be **bitwise identical** to the
 //! serial `sweep`/`sweep_grid` for the same seeds, at any thread count.
 //!
-//! The per-thread-count tests are named so CI can pin the 2- and 8-thread
-//! configurations explicitly:
-//! `cargo test --test parallel_sweep_differential -- two_threads eight_threads`.
+//! CI's sweep-determinism job runs this whole file in release.
 
 use multicast_fairness::prelude::*;
 

@@ -5,11 +5,10 @@
 //! sweeps prove in `parallel_sweep_differential.rs`, now for the Figure 8
 //! path.
 //!
-//! The per-thread-count tests are named so CI can pin the 2- and 8-thread
-//! configurations explicitly:
-//! `cargo test --test protocol_sweep_differential -- two_threads eight_threads`.
+//! CI's sweep-determinism job runs this whole file in release.
 
 use multicast_fairness::prelude::*;
+use multicast_fairness::protocols::run_point;
 
 /// A scaled-down star (8 receivers, 4k packets, 2 trials) so the full
 /// differential grid stays fast; determinism does not depend on scale.
@@ -124,17 +123,29 @@ fn per_receiver_distributions_ride_the_sweep_points() {
 
 #[test]
 fn figure8_through_the_executor_matches_the_serial_series() {
-    // The regrouped Figure 8 panel must reproduce the classic serial
-    // `figure8_series` output bit for bit at any thread count.
+    // A Figure 8 panel through the executor must reproduce, bit for bit
+    // and at any thread count, a direct `run_point` on every point's own
+    // parameters.
     let s = scenario();
-    let losses = [0.0, 0.03, 0.07];
-    let serial = s.figure8_serial(&losses);
+    let g = ProtocolSweepGrid::figure8_axis(3);
     for threads in [2, 8] {
-        assert_eq!(
-            serial,
-            s.figure8(&losses, threads),
-            "figure8({threads}) diverged from figure8_series"
-        );
+        for p in s.sweep_par(&g, threads).points {
+            let params = ExperimentParams {
+                seed: p.seed,
+                join_latency: p.join_latency,
+                leave_latency: p.leave_latency,
+                ..*s.template()
+            }
+            .with_independent_loss(p.independent_loss)
+            .expect("grid losses are valid");
+            assert_eq!(
+                p.outcome,
+                run_point(p.kind, &params),
+                "{} at loss {} diverged on {threads} threads",
+                p.kind.label(),
+                p.independent_loss
+            );
+        }
     }
 }
 

@@ -12,9 +12,10 @@
 //! × zero and nonzero join/leave latencies × receiver counts 1..128, with
 //! the controller/marker wiring the Figure 8 harness uses.
 
-use mlf_protocols::{make_receiver, CoordinatedSender, ProtocolKind};
-use mlf_sim::engine::{MarkerSource, NoMarkers, ReceiverController, StarConfig, StarReport};
-use mlf_sim::{reference, run_star, run_star_into, LossProcess, SimRng, StarScratch, Tick};
+use mlf_protocols::experiment::trial_rig;
+use mlf_protocols::ProtocolKind;
+use mlf_sim::engine::{StarConfig, StarReport};
+use mlf_sim::{reference, run_star, run_star_into, LossProcess, StarScratch, Tick};
 use proptest::prelude::*;
 
 const KINDS: [ProtocolKind; 3] = ProtocolKind::ALL;
@@ -22,39 +23,6 @@ const KINDS: [ProtocolKind; 3] = ProtocolKind::ALL;
 /// The latency grid of the differential: the paper's idealized zero pair
 /// plus join-only, leave-only and mixed nonzero latencies.
 const LATENCIES: [(Tick, Tick); 4] = [(0, 0), (0, 37), (19, 0), (11, 23)];
-
-enum Markers {
-    None(NoMarkers),
-    Coordinated(CoordinatedSender),
-}
-
-impl MarkerSource for Markers {
-    fn marker(&mut self, slot: Tick, layer: usize) -> Option<usize> {
-        match self {
-            Markers::None(m) => m.marker(slot, layer),
-            Markers::Coordinated(m) => m.marker(slot, layer),
-        }
-    }
-}
-
-/// Controllers and marker source exactly as the Figure 8 `TrialRig` wires
-/// them: per-receiver RNG substreams split off one trial base.
-fn rig(
-    kind: ProtocolKind,
-    receivers: usize,
-    layers: usize,
-    seed: u64,
-) -> (Vec<Box<dyn ReceiverController>>, Markers) {
-    let base = SimRng::seed_from_u64(seed ^ 0xABCD_EF01_2345_6789);
-    let controllers = (0..receivers)
-        .map(|r| make_receiver(kind, base.split(1_000_000 + r as u64)))
-        .collect();
-    let markers = match kind {
-        ProtocolKind::Coordinated => Markers::Coordinated(CoordinatedSender::new(layers)),
-        _ => Markers::None(NoMarkers),
-    };
-    (controllers, markers)
-}
 
 fn loss(bursty: bool, p: f64) -> LossProcess {
     if bursty {
@@ -78,12 +46,12 @@ fn config(
 }
 
 fn run_indexed(cfg: &StarConfig, kind: ProtocolKind, slots: u64, seed: u64) -> StarReport {
-    let (mut ctls, mut mk) = rig(kind, cfg.receiver_count(), cfg.layer_count(), seed);
+    let (mut ctls, mut mk) = trial_rig(kind, cfg.receiver_count(), cfg.layer_count(), seed);
     run_star(cfg, &mut ctls, &mut mk, slots, seed)
 }
 
 fn run_reference(cfg: &StarConfig, kind: ProtocolKind, slots: u64, seed: u64) -> StarReport {
-    let (mut ctls, mut mk) = rig(kind, cfg.receiver_count(), cfg.layer_count(), seed);
+    let (mut ctls, mut mk) = trial_rig(kind, cfg.receiver_count(), cfg.layer_count(), seed);
     reference::run_star(cfg, &mut ctls, &mut mk, slots, seed)
 }
 
@@ -182,7 +150,7 @@ proptest! {
                 loss(t % 2 == 0, p_ind),
                 LATENCIES[latency_ix],
             );
-            let (mut ctls, mut mk) = rig(kind, receivers, layers, seed);
+            let (mut ctls, mut mk) = trial_rig(kind, receivers, layers, seed);
             run_star_into(&cfg, &mut ctls, &mut mk, 2_000, seed, &mut report, &mut scratch);
             let reference = run_reference(&cfg, kind, 2_000, seed);
             assert_reports_identical(

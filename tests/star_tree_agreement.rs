@@ -33,44 +33,14 @@
 
 use mlf_net::topology::star_network;
 use mlf_net::LinkId;
-use mlf_protocols::{make_receiver, CoordinatedSender, ProtocolKind};
-use mlf_sim::engine::{MarkerSource, NoMarkers, ReceiverController, StarConfig};
+use mlf_protocols::experiment::trial_rig;
+use mlf_protocols::ProtocolKind;
+use mlf_sim::engine::StarConfig;
 use mlf_sim::tree::{run_tree_expect, TreeConfig};
-use mlf_sim::{run_star, LossProcess, SimRng, Tick};
+use mlf_sim::{run_star, LossProcess, Tick};
 
 const KINDS: [ProtocolKind; 3] = ProtocolKind::ALL;
 const LATENCIES: [(Tick, Tick); 4] = [(0, 0), (0, 37), (19, 0), (11, 23)];
-
-enum Markers {
-    None(NoMarkers),
-    Coordinated(CoordinatedSender),
-}
-
-impl MarkerSource for Markers {
-    fn marker(&mut self, slot: Tick, layer: usize) -> Option<usize> {
-        match self {
-            Markers::None(m) => m.marker(slot, layer),
-            Markers::Coordinated(m) => m.marker(slot, layer),
-        }
-    }
-}
-
-fn rig(
-    kind: ProtocolKind,
-    receivers: usize,
-    layers: usize,
-    seed: u64,
-) -> (Vec<Box<dyn ReceiverController>>, Markers) {
-    let base = SimRng::seed_from_u64(seed ^ 0xABCD_EF01_2345_6789);
-    let controllers = (0..receivers)
-        .map(|r| make_receiver(kind, base.split(1_000_000 + r as u64)))
-        .collect();
-    let markers = match kind {
-        ProtocolKind::Coordinated => Markers::Coordinated(CoordinatedSender::new(layers)),
-        _ => Markers::None(NoMarkers),
-    };
-    (controllers, markers)
-}
 
 /// Loss on every carried slot, then none, alternating — a Gilbert–Elliott
 /// chain with certain transitions and certain per-state fates. Consumes no
@@ -118,9 +88,9 @@ fn assert_star_tree_agree(
         leave_latency: latencies.1,
     };
 
-    let (mut star_ctls, mut star_mk) = rig(kind, n, layers, seed);
+    let (mut star_ctls, mut star_mk) = trial_rig(kind, n, layers, seed);
     let star = run_star(&star_cfg, &mut star_ctls, &mut star_mk, slots, seed);
-    let (mut tree_ctls, mut tree_mk) = rig(kind, n, layers, seed);
+    let (mut tree_ctls, mut tree_mk) = trial_rig(kind, n, layers, seed);
     let tree = run_tree_expect(&net, &tree_cfg, &mut tree_ctls, &mut tree_mk, slots, seed);
 
     assert_eq!(star.offered, tree.offered, "{label}: offered");

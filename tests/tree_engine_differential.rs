@@ -18,12 +18,13 @@
 //! and Gilbert–Elliott per-link loss × zero and nonzero join/leave
 //! latencies.
 
+use mlf_layering::LayerSchedule;
 use mlf_net::topology::{kary_tree, random_tree, star_network};
 use mlf_net::{Network, NodeId, Session};
-use mlf_protocols::{make_receiver, CoordinatedSender, ProtocolKind};
-use mlf_sim::engine::{MarkerSource, NoMarkers, ReceiverController};
+use mlf_protocols::experiment::trial_rig;
+use mlf_protocols::ProtocolKind;
 use mlf_sim::tree::{run_tree_expect, run_tree_into, TreeConfig, TreeReport, TreeScratch};
-use mlf_sim::{reference_tree, LossProcess, SimRng, Tick};
+use mlf_sim::{reference_tree, LossProcess, Tick};
 use proptest::prelude::*;
 
 const KINDS: [ProtocolKind; 3] = ProtocolKind::ALL;
@@ -31,39 +32,6 @@ const KINDS: [ProtocolKind; 3] = ProtocolKind::ALL;
 /// The latency grid of the differential: the paper's idealized zero pair
 /// plus join-only, leave-only and mixed nonzero latencies.
 const LATENCIES: [(Tick, Tick); 4] = [(0, 0), (0, 37), (19, 0), (11, 23)];
-
-enum Markers {
-    None(NoMarkers),
-    Coordinated(CoordinatedSender),
-}
-
-impl MarkerSource for Markers {
-    fn marker(&mut self, slot: Tick, layer: usize) -> Option<usize> {
-        match self {
-            Markers::None(m) => m.marker(slot, layer),
-            Markers::Coordinated(m) => m.marker(slot, layer),
-        }
-    }
-}
-
-/// Controllers and marker source exactly as the bench rigs wire them:
-/// per-receiver RNG substreams split off one trial base.
-fn rig(
-    kind: ProtocolKind,
-    receivers: usize,
-    layers: usize,
-    seed: u64,
-) -> (Vec<Box<dyn ReceiverController>>, Markers) {
-    let base = SimRng::seed_from_u64(seed ^ 0xABCD_EF01_2345_6789);
-    let controllers = (0..receivers)
-        .map(|r| make_receiver(kind, base.split(1_000_000 + r as u64)))
-        .collect();
-    let markers = match kind {
-        ProtocolKind::Coordinated => Markers::Coordinated(CoordinatedSender::new(layers)),
-        _ => Markers::None(NoMarkers),
-    };
-    (controllers, markers)
-}
 
 /// The three tree families of the differential. Every shape routes one
 /// multi-rate session from a root sender; what varies is where the
@@ -116,15 +84,7 @@ fn config(
     lat: (Tick, Tick),
 ) -> TreeConfig {
     TreeConfig {
-        layer_rates: (0..layers)
-            .map(|i| {
-                if i == 0 {
-                    1.0
-                } else {
-                    (1u64 << (i - 1)) as f64
-                }
-            })
-            .collect(),
+        layer_rates: LayerSchedule::exponential(layers).rates().to_vec(),
         link_loss: link_loss_mix(net.link_count(), p, bursty_mask),
         join_latency: lat.0,
         leave_latency: lat.1,
@@ -142,7 +102,7 @@ fn run_bitset(
     slots: u64,
     seed: u64,
 ) -> TreeReport {
-    let (mut ctls, mut mk) = rig(kind, receivers_of(net), cfg.layer_rates.len(), seed);
+    let (mut ctls, mut mk) = trial_rig(kind, receivers_of(net), cfg.layer_rates.len(), seed);
     run_tree_expect(net, cfg, &mut ctls, &mut mk, slots, seed)
 }
 
@@ -153,7 +113,7 @@ fn run_reference(
     slots: u64,
     seed: u64,
 ) -> TreeReport {
-    let (mut ctls, mut mk) = rig(kind, receivers_of(net), cfg.layer_rates.len(), seed);
+    let (mut ctls, mut mk) = trial_rig(kind, receivers_of(net), cfg.layer_rates.len(), seed);
     reference_tree::run_tree(net, cfg, &mut ctls, &mut mk, slots, seed)
 }
 
@@ -240,7 +200,7 @@ proptest! {
             let net = topology(shape_ix, size, seed);
             let kind = KINDS[(t + seeds.len()) % 3];
             let cfg = config(&net, layers, p, t % 2, LATENCIES[latency_ix]);
-            let (mut ctls, mut mk) = rig(kind, receivers_of(&net), layers, seed);
+            let (mut ctls, mut mk) = trial_rig(kind, receivers_of(&net), layers, seed);
             run_tree_into(&net, &cfg, &mut ctls, &mut mk, 2_000, seed, &mut report, &mut scratch)
                 .expect("valid differential configuration");
             let reference = run_reference(&net, &cfg, kind, 2_000, seed);
